@@ -5,8 +5,8 @@
 //! and missing replies are *failures*, counted against the run; any other
 //! difference is a *wrong answer* and fails the whole run.
 
-use eclipse_core::{EclipseEngine, Point, QueryOptions, WeightRatioBox};
-use eclipse_serve::protocol::{MutationKind, Request, Response};
+use eclipse_core::{EclipseEngine, QueryOptions, WeightRatioBox};
+use eclipse_serve::protocol::{Request, Response};
 
 /// Why a request did not produce a correct answer in time.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -84,131 +84,15 @@ pub fn encode_read(results: &[Vec<usize>], count: bool) -> Vec<u8> {
 }
 
 /// The reply body a correct server sends for `boxes` on `reference`.
-pub fn expected_read(reference: &EclipseEngine, boxes: &[WeightRatioBox], count: bool) -> Vec<u8> {
+#[cfg(test)]
+fn expected_read(reference: &EclipseEngine, boxes: &[WeightRatioBox], count: bool) -> Vec<u8> {
     encode_read(&reference_results(reference, boxes), count)
-}
-
-/// One generated mutation.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Mutation {
-    Insert(Vec<f64>),
-    Delete(u64),
-}
-
-impl Mutation {
-    pub fn request(&self, dataset: &str) -> Vec<u8> {
-        let name = dataset.to_string();
-        match self {
-            Mutation::Insert(coords) => Request::Insert {
-                name,
-                coords: coords.clone(),
-            },
-            Mutation::Delete(id) => Request::Delete { name, id: *id },
-        }
-        .encode()
-    }
-}
-
-/// A mutation as sent, with the server's acknowledgement.
-#[derive(Clone, Debug)]
-pub struct WriteObs {
-    pub mutation: Mutation,
-    /// `(kind, epoch, len)` from the `Mutated` reply; `None` if it failed.
-    pub ack: Option<(MutationKind, u64, u64)>,
-}
-
-/// A read as sent and answered, with the epochs it may have observed: at
-/// least the highest epoch acknowledged before it was sent, at most the
-/// number of mutations sent before its reply arrived.
-#[derive(Clone, Debug)]
-pub struct ReadObs {
-    pub probe: usize,
-    pub count: bool,
-    pub lo: u64,
-    pub hi: u64,
-    pub body: Vec<u8>,
-}
-
-/// Checks a read/write run: the reference replays the acknowledged
-/// mutations in epoch order (checking each acknowledgement's kind and
-/// size), and every read must equal the reference's answer at some epoch
-/// inside its window.  Returns the number of mutations replayed.
-pub fn check_epochs(
-    points: Vec<Point>,
-    probes: &[WeightRatioBox],
-    reads: &[ReadObs],
-    writes: &[WriteObs],
-) -> Result<u64, String> {
-    let reference = EclipseEngine::new(points).map_err(|e| e.to_string())?;
-    let mut acked: Vec<&WriteObs> = writes.iter().filter(|w| w.ack.is_some()).collect();
-    acked.sort_by_key(|w| w.ack.map(|(_, epoch, _)| epoch));
-    for (i, w) in acked.iter().enumerate() {
-        let epoch = w.ack.map_or(0, |(_, epoch, _)| epoch);
-        if epoch != i as u64 + 1 {
-            return Err(format!(
-                "acknowledged epochs are not 1..={}: found {epoch} at position {}",
-                acked.len(),
-                i + 1
-            ));
-        }
-    }
-    let last = acked.len() as u64;
-    let mut by_lo: Vec<&ReadObs> = reads.iter().collect();
-    by_lo.sort_by_key(|r| r.lo);
-    let mut next = by_lo.into_iter().peekable();
-    let mut pending: Vec<&ReadObs> = Vec::new();
-    for epoch in 0..=last {
-        while let Some(r) = next.next_if(|r| r.lo <= epoch) {
-            pending.push(r);
-        }
-        let mut unresolved = Vec::with_capacity(pending.len());
-        for r in pending {
-            let expected =
-                expected_read(&reference, std::slice::from_ref(&probes[r.probe]), r.count);
-            if r.body == expected {
-                continue;
-            }
-            if let Verdict::Wrong(why) = classify(&r.body, &expected) {
-                if r.hi <= epoch {
-                    return Err(format!(
-                        "read of probe {} matches no epoch in {}..={}: at epoch {epoch} {why}",
-                        r.probe, r.lo, r.hi
-                    ));
-                }
-                unresolved.push(r);
-            }
-            // Typed failures were counted by the load generator already.
-        }
-        pending = unresolved;
-        if epoch == last {
-            break;
-        }
-        let w = acked[epoch as usize];
-        let summary = match &w.mutation {
-            Mutation::Insert(coords) => reference.insert(Point::from_slice(coords)),
-            Mutation::Delete(id) => reference.delete(*id as usize),
-        }
-        .map_err(|e| format!("reference could not replay {:?}: {e}", w.mutation))?;
-        let (kind, _, len) = w.ack.expect("acked writes only");
-        if MutationKind::from(summary.outcome) != kind || summary.len as u64 != len {
-            return Err(format!(
-                "mutation {:?} acknowledged as {kind:?} (len {len}), reference says {:?} (len {})",
-                w.mutation, summary.outcome, summary.len
-            ));
-        }
-    }
-    if let Some(r) = pending.first().or(next.peek()) {
-        return Err(format!(
-            "read of probe {} (epochs {}..={}) matches no replayed epoch",
-            r.probe, r.lo, r.hi
-        ));
-    }
-    Ok(last)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eclipse_core::Point;
 
     fn points() -> Vec<Point> {
         let mut rng = crate::rng::Rng::derive(3, 0);
@@ -272,70 +156,5 @@ mod tests {
             classify(&timeout, &expected),
             Verdict::Failed(Failure::Timeout)
         );
-    }
-
-    /// Applies `mutations` to a server stand-in and returns the acks.
-    fn acks(mutations: &[Mutation]) -> Vec<WriteObs> {
-        let server = EclipseEngine::new(points()).expect("engine");
-        mutations
-            .iter()
-            .map(|m| {
-                let s = match m {
-                    Mutation::Insert(c) => server.insert(Point::from_slice(c)),
-                    Mutation::Delete(id) => server.delete(*id as usize),
-                }
-                .expect("valid mutation");
-                WriteObs {
-                    mutation: m.clone(),
-                    ack: Some((s.outcome.into(), s.epoch, s.len as u64)),
-                }
-            })
-            .collect()
-    }
-
-    #[test]
-    fn reads_are_checked_at_their_acknowledged_epochs() {
-        let mutations = vec![
-            Mutation::Insert(vec![0.0001, 0.0001, 0.0001]), // enters the skyline
-            Mutation::Delete(3),
-        ];
-        let writes = acks(&mutations);
-        let probes = [probe()];
-        // What a server answers at epochs 0 and 1.
-        let at0 = {
-            let e = EclipseEngine::new(points()).expect("engine");
-            expected_read(&e, &probes, false)
-        };
-        let at1 = {
-            let e = EclipseEngine::new(points()).expect("engine");
-            e.insert(Point::new(vec![0.0001, 0.0001, 0.0001]))
-                .expect("insert");
-            expected_read(&e, &probes, false)
-        };
-        assert_ne!(at0, at1, "the insert must change the answer");
-        let read = |lo, hi, body: &Vec<u8>| ReadObs {
-            probe: 0,
-            count: false,
-            lo,
-            hi,
-            body: body.clone(),
-        };
-        let ok = [read(0, 0, &at0), read(0, 2, &at1), read(1, 1, &at1)];
-        assert_eq!(check_epochs(points(), &probes, &ok, &writes), Ok(2));
-        // The epoch-1 answer from a read that completed before any
-        // mutation was sent is a wrong answer.
-        let stale = [read(0, 0, &at1)];
-        assert!(check_epochs(points(), &probes, &stale, &writes).is_err());
-        // So is an epoch-0 answer once epoch 1 was acknowledged.
-        let rollback = [read(1, 2, &at0)];
-        assert!(check_epochs(points(), &probes, &rollback, &writes).is_err());
-        // A mis-acknowledged mutation kind is caught during the replay.
-        let mut bad = writes.clone();
-        bad[1].ack = bad[1]
-            .ack
-            .map(|(_, e, l)| (MutationKind::DeletedSkyline, e, l));
-        if writes[1].ack.map(|a| a.0) != Some(MutationKind::DeletedSkyline) {
-            assert!(check_epochs(points(), &probes, &ok, &bad).is_err());
-        }
     }
 }

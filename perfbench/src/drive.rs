@@ -25,25 +25,6 @@ pub const GRACE: Duration = Duration::from_secs(5);
 /// Sentinel for "no reply received".
 pub const NO_REPLY: u64 = u64::MAX;
 
-/// One entry of an open-loop schedule.
-#[derive(Clone, Copy, Debug)]
-pub struct Planned {
-    /// Index into the request-body pool.
-    pub body: u32,
-    /// A mutation (tracked for the epoch windows of reads).
-    pub write: bool,
-}
-
-/// Counters shared by the sender and receiver threads (and the reply
-/// handler) while a read/write mix runs.
-#[derive(Debug, Default)]
-pub struct Shared {
-    /// Highest dataset epoch acknowledged so far.
-    pub acked_epoch: AtomicU64,
-    /// Mutations handed to the socket so far.
-    pub writes_sent: AtomicU64,
-}
-
 /// Per-request timings of an open-loop run, all in nanoseconds from `t0`.
 #[derive(Debug)]
 pub struct OpenLoopOut {
@@ -53,8 +34,6 @@ pub struct OpenLoopOut {
     pub sent: usize,
     /// Scheduled send time to the actual start of the send.
     pub lag_ns: Vec<u64>,
-    /// Highest acknowledged epoch when the request was sent.
-    pub lo_epoch: Vec<u64>,
     /// Start of the send and the end of the flush that put it on the wire.
     pub send_ns: Vec<(u64, u64)>,
     /// Reply received ([`NO_REPLY`] if none) and reply checked.
@@ -70,23 +49,22 @@ impl OpenLoopOut {
 
 /// Runs `plan` at `rate` requests/s on a fresh connection to `addr`.
 /// Request `i` of the plan goes out with id `first + i`.  `bodies` holds
-/// the encoded requests the plan indexes; `on_reply(id, body, shared)` runs
-/// on the receiver thread for every reply.  Only with `trace` are the flush
+/// the encoded requests the plan indexes; `on_reply(id, body)` runs on the
+/// receiver thread for every reply.  Only with `trace` are the flush
 /// and check instants taken (`send_ns.1` and `checked_ns` stay 0 without).
 /// The returned vectors are indexed by position in `plan`.
 #[allow(clippy::too_many_arguments)]
 pub fn open_loop<F>(
     addr: SocketAddr,
     rate: f64,
-    plan: &[Planned],
+    plan: &[u32],
     first: usize,
     bodies: &[Vec<u8>],
-    shared: &Shared,
     trace: bool,
     mut on_reply: F,
 ) -> Result<OpenLoopOut, String>
 where
-    F: FnMut(u64, &[u8], &Shared) + Send,
+    F: FnMut(u64, &[u8]) + Send,
 {
     let stream = wire::connect_v2(addr).map_err(|e| format!("connect {addr}: {e}"))?;
     let mut receiver = Receiver::new(
@@ -107,7 +85,6 @@ where
         let send = scope.spawn(|| {
             tighten_timer_slack();
             let mut lag_ns = Vec::with_capacity(total);
-            let mut lo_epoch = Vec::with_capacity(total);
             let mut send_ns: Vec<(u64, u64)> = Vec::with_capacity(total);
             let mut error = None;
             let mut burst = 0;
@@ -132,13 +109,8 @@ where
                     std::thread::sleep(due - now);
                     continue;
                 }
-                let entry = plan[i];
-                lo_epoch.push(shared.acked_epoch.load(Ordering::SeqCst));
-                if entry.write {
-                    shared.writes_sent.fetch_add(1, Ordering::SeqCst);
-                }
                 let id = (first + i) as u64;
-                if let Err(e) = sender.send(id, DEADLINE_MS, &bodies[entry.body as usize]) {
+                if let Err(e) = sender.send(id, DEADLINE_MS, &bodies[plan[i] as usize]) {
                     error = Some(e.to_string());
                     break;
                 }
@@ -159,7 +131,7 @@ where
                 }
             }
             sender_done.store(true, Ordering::SeqCst);
-            (lag_ns, lo_epoch, send_ns, error)
+            (lag_ns, send_ns, error)
         });
         let recv = scope.spawn(|| {
             let mut recv_ns = vec![NO_REPLY; total];
@@ -186,7 +158,7 @@ where
                             break;
                         };
                         *slot = since(at);
-                        on_reply(id, &body, shared);
+                        on_reply(id, &body);
                         if trace {
                             checked_ns[local] = since(Instant::now());
                         }
@@ -206,7 +178,7 @@ where
             recv.join().expect("receiver thread panicked"),
         )
     });
-    let (lag_ns, lo_epoch, send_ns, send_err) = send_side;
+    let (lag_ns, send_ns, send_err) = send_side;
     let (recv_ns, checked_ns, recv_err) = recv_side;
     if let Some(e) = send_err.or(recv_err) {
         return Err(format!("open loop against {addr}: {e}"));
@@ -216,7 +188,6 @@ where
         interval_ns,
         sent: lag_ns.len(),
         lag_ns,
-        lo_epoch,
         send_ns,
         recv_ns,
         checked_ns,
@@ -292,12 +263,12 @@ where
                 scope.spawn(move || {
                     let mut recs = Vec::new();
                     for &body in order.iter().cycle() {
-                        let start = Instant::now();
-                        if start >= end {
+                        let now = Instant::now();
+                        if now >= end {
                             break;
                         }
                         if let Some((stats, every, next)) = monitor.as_mut() {
-                            if start >= *next {
+                            if now >= *next {
                                 let reply = conn
                                     .call_raw(&bodies[*stats as usize], stop + GRACE)
                                     .map_err(|e| format!("monitor request: {e}"))?;
@@ -305,6 +276,9 @@ where
                                 *next += *every;
                             }
                         }
+                        // Timed from here, so a monitor call before the
+                        // request is not charged to it.
+                        let start = Instant::now();
                         let reply = conn
                             .call_raw(&bodies[body as usize], stop + GRACE)
                             .map_err(|e| format!("closed-loop request: {e}"))?;

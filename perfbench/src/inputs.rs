@@ -1,13 +1,13 @@
 //! Input generation.  The datasets are pinned (INDE from a fixed dataset
 //! seed) so every run measures the same index; the `--seed` argument drives
 //! everything that varies between runs: the probe boxes, the order and mix
-//! of requests, the mutation schedule and the dataset choice of the routed
-//! workload.  The program under test receives only these generated inputs.
+//! of requests, the mutation schedule of the traced run and the dataset
+//! choice of the routed workload.  The program under test receives only
+//! these generated inputs.
 
 use eclipse_core::{Point, WeightRatioBox};
 use eclipse_data::synthetic::{Distribution, SyntheticConfig};
 
-use crate::check::Mutation;
 use crate::rng::Rng;
 
 /// Seed of every generated dataset.  At this seed INDE n = 16384, d = 3
@@ -33,7 +33,6 @@ pub fn dataset_seed(count: usize, j: usize) -> u64 {
 /// Salts separating the seeded streams.
 pub const SALT_PROBES: u64 = 1;
 pub const SALT_PLAN: u64 = 2;
-pub const SALT_MUTATIONS: u64 = 3;
 pub const SALT_LAYERS: u64 = 4;
 
 /// INDE points: independent uniform attributes.
@@ -58,35 +57,22 @@ pub fn probe_boxes(rng: &mut Rng, m: usize, d: usize) -> Vec<WeightRatioBox> {
         .collect()
 }
 
-/// Skyline ids (smaller is better in every attribute), computed by the
-/// generator itself so that the mutation mix can aim at skyline members.
-pub fn skyline_ids(points: &[Point]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..points.len()).collect();
-    let sum = |i: usize| points[i].coords().iter().sum::<f64>();
-    order.sort_by(|&a, &b| sum(a).total_cmp(&sum(b)));
-    let dominates = |a: &[f64], b: &[f64]| {
-        a.iter().zip(b).all(|(x, y)| x <= y) && a.iter().zip(b).any(|(x, y)| x < y)
-    };
-    let mut sky: Vec<usize> = Vec::new();
-    for i in order {
-        let p = points[i].coords();
-        if !sky.iter().any(|&s| dominates(points[s].coords(), p)) {
-            sky.push(i);
-        }
-    }
-    sky.sort_unstable();
-    sky
-}
-
-/// The mutation mix of the read/write workload repeats every `MIX_CYCLE`
-/// writes: one skyline-entering insert, one skyline delete, and dominated
-/// inserts alternating with non-skyline deletes in between (45/5/5/45 %).
-/// A skyline-changing write rebuilds the index arena from the maintained
-/// skyline (≈ 0.1–0.2 s at n = 100k, u ≈ 52), so those stay a small share,
-/// and a fixed cycle gives every measured window the same number of them.
+/// The mutation mix repeats every `MIX_CYCLE` writes: one
+/// skyline-entering insert, one skyline delete, and dominated inserts
+/// alternating with non-skyline deletes in between (45/5/5/45 %).  A
+/// skyline-changing write rebuilds the index arena from the maintained
+/// skyline, so those stay a small share of the mix.
 const MIX_CYCLE: usize = 20;
 
-/// `count` mutations against `points`:
+/// One generated mutation.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Mutation {
+    Insert(Vec<f64>),
+    Delete(u64),
+}
+
+/// `count` mutations against `points`, whose sorted skyline ids are
+/// `original_skyline`:
 /// * dominated inserts: a uniform point in `[0.3, 1)^d`;
 /// * skyline-entering inserts: a copy of a random original skyline member
 ///   moved slightly towards the origin, so it evicts about that member and
@@ -96,19 +82,16 @@ const MIX_CYCLE: usize = 20;
 ///
 /// Delete ids are computed for the dataset as it will be after the earlier
 /// mutations of the schedule (deleting shifts later ids down; inserts
-/// append).  Only points far below the end of the dataset are deleted, so
-/// every id stays valid even if the server applies two writes in the other
-/// order.
-pub fn mutation_schedule(points: &[Point], count: usize, rng: &mut Rng) -> Vec<Mutation> {
+/// append).
+pub fn mutation_schedule(
+    points: &[Point],
+    original_skyline: &[usize],
+    count: usize,
+    rng: &mut Rng,
+) -> Vec<Mutation> {
     let n = points.len();
     let d = points[0].dim();
-    let deletable = n.saturating_sub(4 * count + 1).max(1);
-    let original_skyline = skyline_ids(points);
-    let mut skyline: Vec<usize> = original_skyline
-        .iter()
-        .copied()
-        .filter(|&i| i < deletable)
-        .collect();
+    let mut skyline = original_skyline.to_vec();
     let mut deleted: Vec<usize> = Vec::new(); // original ids, sorted
     let mut out = Vec::with_capacity(count);
     for k in 0..count {
@@ -128,7 +111,7 @@ pub fn mutation_schedule(points: &[Point], count: usize, rng: &mut Rng) -> Vec<M
                 skyline.remove(rng.below(skyline.len()))
             } else {
                 loop {
-                    let candidate = rng.below(deletable);
+                    let candidate = rng.below(n);
                     if deleted.binary_search(&candidate).is_err()
                         && skyline.binary_search(&candidate).is_err()
                     {
@@ -172,26 +155,23 @@ mod tests {
     #[test]
     fn schedules_repeat_per_seed() {
         let pts = inde(2000, 3, DATASET_SEED);
-        let a = mutation_schedule(&pts, 50, &mut Rng::derive(1, SALT_MUTATIONS));
-        let b = mutation_schedule(&pts, 50, &mut Rng::derive(1, SALT_MUTATIONS));
+        let sky = eclipse_core::EclipseEngine::new(pts.clone())
+            .expect("engine")
+            .skyline();
+        let a = mutation_schedule(&pts, &sky, 50, &mut Rng::derive(1, SALT_LAYERS));
+        let b = mutation_schedule(&pts, &sky, 50, &mut Rng::derive(1, SALT_LAYERS));
         assert_eq!(a, b);
-        let c = mutation_schedule(&pts, 50, &mut Rng::derive(2, SALT_MUTATIONS));
+        let c = mutation_schedule(&pts, &sky, 50, &mut Rng::derive(2, SALT_LAYERS));
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn generated_skyline_matches_the_engine() {
-        let pts = inde(3000, 3, DATASET_SEED);
-        let engine = eclipse_core::EclipseEngine::new(pts.clone()).expect("engine");
-        assert_eq!(skyline_ids(&pts), engine.skyline());
     }
 
     #[test]
     fn the_schedule_mixes_every_outcome_and_ids_stay_valid() {
         let pts = inde(4000, 3, DATASET_SEED);
-        let schedule = mutation_schedule(&pts, 200, &mut Rng::derive(9, SALT_MUTATIONS));
-        let engine = eclipse_core::EclipseEngine::new(pts).expect("engine");
-        let skyline_before = engine.skyline().len();
+        let engine = eclipse_core::EclipseEngine::new(pts.clone()).expect("engine");
+        let sky = engine.skyline();
+        let schedule = mutation_schedule(&pts, &sky, 200, &mut Rng::derive(9, SALT_LAYERS));
+        let skyline_before = sky.len();
         let mut seen = std::collections::BTreeSet::new();
         for m in &schedule {
             let s = match m {

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
-//!     --workload <small-probe|heavy-batch|read-write|routed-evict> \
+//!     --workload <small-probe|heavy-batch|routed-evict> \
 //!     --seed <n> --seconds <s> --trace <0|1>
 //! ```
 //!
@@ -23,14 +23,15 @@ mod stats;
 mod wire;
 mod workloads;
 
-use std::path::PathBuf;
+use std::ops::Range;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
 
 use eclipse_core::ExecutionContext;
 
 use report::Report;
-use workloads::{Deployment, Inputs, Kind};
+use workloads::{Inputs, Kind};
 
 /// Command-line arguments; all four are required.
 #[derive(Clone, Debug)]
@@ -41,8 +42,7 @@ pub struct Args {
     pub trace: bool,
 }
 
-const USAGE: &str =
-    "usage: perfbench --workload <small-probe|heavy-batch|read-write|routed-evict> \
+const USAGE: &str = "usage: perfbench --workload <small-probe|heavy-batch|routed-evict> \
 --seed <n> --seconds <s> --trace <0|1>";
 
 fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
@@ -95,68 +95,76 @@ fn cores() -> usize {
     std::thread::available_parallelism().map_or(1, usize::from)
 }
 
-/// Deploys `setup_reps` times from empty, keeping the last deployment.
-fn set_up(
+/// Deploys from empty once per rep, shutting each deployment down again,
+/// and returns the set-up times.
+fn time_setups(
     inputs: &Inputs,
     cores: usize,
-    scratch: &std::path::Path,
-) -> Result<(Deployment, Vec<f64>), String> {
-    let mut times = Vec::new();
-    let mut current: Option<Deployment> = None;
-    for rep in 0..inputs.spec.setup_reps {
-        if let Some(old) = current.take() {
-            old.shutdown();
-        }
+    scratch: &Path,
+    reps: Range<usize>,
+) -> Result<Vec<f64>, String> {
+    reps.map(|rep| {
         let (dep, secs) = workloads::deploy(inputs, cores, &scratch.join(format!("setup-{rep}")))?;
-        times.push(secs);
-        current = Some(dep);
-    }
-    Ok((current.expect("at least one set-up"), times))
+        dep.shutdown();
+        Ok(secs)
+    })
+    .collect()
 }
 
 fn run(args: &Args) -> Result<Report, String> {
     let cores = cores();
     let root = scratch_root();
     let scratch = workloads::scratch_dir(&root, args.workload, args.seed)?;
+    let result = measure(args, cores, &root, &scratch);
+    let _ = std::fs::remove_dir_all(&scratch);
+    result
+}
+
+fn measure(args: &Args, cores: usize, root: &Path, scratch: &Path) -> Result<Report, String> {
     let spec = args.workload.spec();
     let inputs = Inputs::generate(spec, args.seed, &ExecutionContext::with_threads(cores));
-    let (dep, setups) = set_up(&inputs, cores, &scratch)?;
+    // Half the set-ups are timed before the traffic and the rest after it,
+    // so their median spans the host's conditions over the whole run.  The
+    // traced run reports no set-up time and deploys once.
+    let reps = if args.trace {
+        1
+    } else {
+        inputs.spec.setup_reps
+    };
+    let before = reps / 2;
+    let mut setups = time_setups(&inputs, cores, scratch, 0..before)?;
+    let (dep, secs) = workloads::deploy(&inputs, cores, &scratch.join(format!("setup-{before}")))?;
+    setups.push(secs);
     let window = Duration::from_secs(args.seconds);
     let mut report = Report::new(args, cores);
-    let result = if args.trace {
-        layers::traced_run(&inputs, &dep, window, &mut report).map(|tracer| {
-            let path = root.join(format!(
-                "spans-{}-seed{}.tsv",
-                args.workload.name(),
-                args.seed
-            ));
-            match std::fs::write(&path, tracer.to_tsv()) {
-                Ok(()) => report.note(format!(
-                    "spans: {} written to {}",
-                    tracer.spans().len(),
-                    path.display()
-                )),
-                Err(e) => report.note(format!("spans: could not write {}: {e}", path.display())),
-            }
-        })
-    } else {
-        workloads::measure(&inputs, &dep, 0, window, None).and_then(|m| {
-            report.end_to_end(&inputs, &setups, &m);
-            match Report::invalid(&m) {
-                Some(why) => {
-                    report.print_lines(&mut std::io::stderr());
-                    Err(why)
-                }
-                None => Ok(()),
-            }
-        })
-    };
-    dep.shutdown();
-    let _ = std::fs::remove_dir_all(&scratch);
-    result?;
     if args.trace {
+        let tracer = layers::traced_run(&inputs, &dep, window, &mut report);
+        dep.shutdown();
+        let tracer = tracer?;
+        let path = root.join(format!(
+            "spans-{}-seed{}.tsv",
+            args.workload.name(),
+            args.seed
+        ));
+        match std::fs::write(&path, tracer.to_tsv()) {
+            Ok(()) => report.note(format!(
+                "spans: {} written to {}",
+                tracer.spans().len(),
+                path.display()
+            )),
+            Err(e) => report.note(format!("spans: could not write {}: {e}", path.display())),
+        }
         report.require(&layers::PER_LAYER)?;
     } else {
+        let m = workloads::measure(&inputs, &dep, 0, window, None);
+        dep.shutdown();
+        let m = m?;
+        setups.extend(time_setups(&inputs, cores, scratch, before + 1..reps)?);
+        report.end_to_end(&inputs, &setups, &m);
+        if let Some(why) = Report::invalid(&m) {
+            report.print_lines(&mut std::io::stderr());
+            return Err(why);
+        }
         report.require(&report::END_TO_END)?;
     }
     Ok(report)
@@ -199,7 +207,7 @@ mod tests {
     fn parses_the_documented_command_line() {
         let a = args(&[
             "--workload",
-            "read-write",
+            "routed-evict",
             "--seed",
             "12",
             "--seconds",
@@ -208,7 +216,7 @@ mod tests {
             "1",
         ])
         .expect("valid arguments");
-        assert_eq!(a.workload, Kind::ReadWrite);
+        assert_eq!(a.workload, Kind::RoutedEvict);
         assert_eq!((a.seed, a.seconds, a.trace), (12, 10, true));
     }
 
@@ -232,15 +240,8 @@ mod tests {
     fn benchmark_json_declares_exactly_the_reported_metrics() {
         assert_eq!(declared("end_to_end"), report::END_TO_END);
         assert_eq!(declared("per_layer"), layers::PER_LAYER);
-        // `read-write` runs but is not declared: its latencies spread more
-        // than the largest bound allows (see README.md).
-        assert_eq!(
-            declared("workloads"),
-            ["small-probe", "heavy-batch", "routed-evict"]
-        );
-        assert!(declared("workloads")
-            .iter()
-            .all(|w| Kind::parse(w).is_some()));
+        let workloads: Vec<&str> = Kind::ALL.iter().map(|k| k.name()).collect();
+        assert_eq!(declared("workloads"), workloads);
     }
 
     #[test]

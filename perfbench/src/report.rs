@@ -79,15 +79,17 @@ impl Report {
     }
 
     /// Records a timing metric: per window the p50 (`tail = false`) or the
-    /// highest percentile up to p99 with ten samples beyond it, then the
-    /// median over the windows in which the generator kept its schedule.
+    /// p99 (`tail = true`), then the median over the windows in which the
+    /// generator kept its schedule.  When the windows are too small for a
+    /// p99, the tail is the whole run's highest percentile up to p99 with
+    /// ten samples beyond it.
     pub fn timing(&mut self, name: &str, m: &Measurement, op: Op, tail: bool) {
         let mut per_window = Vec::new();
         let mut percentiles = Vec::new();
         for w in m.windows.iter().filter(|w| window_valid(w)) {
             let samples = w.op(op);
             let point = if tail {
-                samples.tail()
+                samples.tail().filter(|&(p, _)| p >= 99.0)
             } else {
                 Some((50.0, samples.median()))
             };
@@ -97,6 +99,16 @@ impl Report {
             }
         }
         let all = m.all(|w| w.op(op));
+        if tail && per_window.is_empty() {
+            let (p, v) = all.tail().unwrap_or((f64::NAN, f64::NAN));
+            let basis = format!(
+                "p{p} of {} samples over the whole run, {} missed",
+                all.len(),
+                all.missed()
+            );
+            self.metric(name, v, "us", basis);
+            return;
+        }
         let basis = if m.windows.len() == 1 {
             format!(
                 "p{} of {} samples, {} missed",
@@ -146,12 +158,16 @@ impl Report {
             Load::Open { rate } => format!("open loop at {rate} requests/s"),
             Load::Closed { clients } => format!("closed loop, {clients} clients"),
         };
+        let rate = match (spec.load, m.windows.len()) {
+            (Load::Closed { .. }, n) if n > 1 => format!("median over {n} windows; "),
+            _ => String::new(),
+        };
         self.metric(
             "probes_per_s",
-            m.probes_per_s(),
+            m.probes_per_s,
             "probes/s",
             format!(
-                "{} probes answered in {} s, {} probes per request, {load}",
+                "{rate}{} probes answered in {} s, {} probes per request, {load}",
                 m.probes_ok, m.window_s, spec.batch
             ),
         );
@@ -164,27 +180,9 @@ impl Report {
         self.info_block(m);
     }
 
-    /// Lines that are reported but not part of the final JSON: write
-    /// latency, failures, generator lag and run validity.
+    /// Lines that are reported but not part of the final JSON: server
+    /// counters, failures, generator lag and run validity.
     pub fn info_block(&mut self, m: &Measurement) {
-        let write = m.all(|w| &w.write);
-        if write.len() > 0 {
-            let (p, tail) = write.tail().unwrap_or((f64::NAN, f64::NAN));
-            self.note(format!(
-                "info write_p50_us = {} us (p50 of {} samples, {} missed)",
-                write.median(),
-                write.len(),
-                write.missed()
-            ));
-            self.note(format!(
-                "info write_p99_us = {tail} us (p{p} of {} samples)",
-                write.len()
-            ));
-            self.note(format!(
-                "info mutations replayed by the reference = {}, acknowledged outcomes = {:?}",
-                m.replayed, m.outcomes
-            ));
-        }
         if let (Some(first), Some(last)) = (m.stats.first(), m.stats.last()) {
             let probes = last.probes.saturating_sub(first.probes).max(1);
             let reloads = last.reloads.saturating_sub(first.reloads);

@@ -11,19 +11,16 @@ use eclipse_serve::protocol::{
     read_frame, write_frame, FrameHeader, Request, Response, MAX_FRAME_LEN, MAX_PROTOCOL_VERSION,
     V2_HEADER_LEN,
 };
+use eclipse_serve::server::ServerConfig;
 
-/// Pipeline depth every benchmark connection asks for.  One open-loop
-/// connection stands in for many independent users, so it may hold as many
-/// requests in flight as the server admits in total.
-pub const PIPE_DEPTH: u32 = 1024;
-
-/// Opens a connection and negotiates protocol v2 with a `Hello`.
+/// Opens a connection and negotiates protocol v2 with a `Hello`, asking
+/// for the server's default per-connection pipeline depth.
 pub fn connect_v2(addr: SocketAddr) -> io::Result<TcpStream> {
     let mut stream = TcpStream::connect(addr)?;
     stream.set_nodelay(true)?;
     let hello = Request::Hello {
         max_version: MAX_PROTOCOL_VERSION,
-        pipe_size: PIPE_DEPTH,
+        pipe_size: ServerConfig::default().max_pipeline,
     };
     write_frame(&mut stream, &hello.encode())?;
     stream.flush()?;

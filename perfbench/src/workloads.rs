@@ -1,4 +1,4 @@
-//! The four workloads: what each deploys, generates, sends and checks.
+//! The three workloads: what each deploys, generates, sends and checks.
 //! All of them run one dataset family, INDE, against in-process servers
 //! (and, for `routed-evict`, an in-process router) on loopback TCP, from
 //! one process with at most two load threads and two connections.
@@ -14,12 +14,12 @@ use eclipse_serve::protocol::{IndexKind, Request, Response, StatsReport};
 use eclipse_serve::server::{Server, ServerConfig, ServerHandle};
 use eclipse_serve::Client;
 
-use crate::check::{self, Failure, ReadObs, Verdict, WriteObs};
-use crate::drive::{self, Planned, Shared, NO_REPLY};
+use crate::check::{self, Failure, Verdict};
+use crate::drive::{self, NO_REPLY};
 use crate::inputs;
 use crate::rng::Rng;
 use crate::spans::Tracer;
-use crate::stats::Samples;
+use crate::stats::{self, Samples};
 use crate::wire;
 
 /// How often an open-loop run samples `Stats` on its load connection.
@@ -33,23 +33,16 @@ const TRACED_REQUESTS: usize = 20_000;
 pub enum Kind {
     SmallProbe,
     HeavyBatch,
-    ReadWrite,
     RoutedEvict,
 }
 
 impl Kind {
-    pub const ALL: [Kind; 4] = [
-        Kind::SmallProbe,
-        Kind::HeavyBatch,
-        Kind::ReadWrite,
-        Kind::RoutedEvict,
-    ];
+    pub const ALL: [Kind; 3] = [Kind::SmallProbe, Kind::HeavyBatch, Kind::RoutedEvict];
 
     pub fn name(self) -> &'static str {
         match self {
             Kind::SmallProbe => "small-probe",
             Kind::HeavyBatch => "heavy-batch",
-            Kind::ReadWrite => "read-write",
             Kind::RoutedEvict => "routed-evict",
         }
     }
@@ -68,8 +61,7 @@ impl Kind {
                 batch: 1,
                 probes: 2048,
                 load: Load::Open { rate: 20000.0 },
-                write_share: 0.0,
-                setup_reps: 9,
+                setup_reps: 21,
                 warmup: Duration::from_secs(1),
                 window: Duration::from_millis(250),
                 windows_per_segment: 4,
@@ -82,24 +74,9 @@ impl Kind {
                 batch: 16,
                 probes: 1024,
                 load: Load::Closed { clients: 2 },
-                write_share: 0.0,
-                setup_reps: 3,
+                setup_reps: 5,
                 warmup: Duration::from_secs(1),
-                window: Duration::ZERO,
-                windows_per_segment: 1,
-            },
-            Kind::ReadWrite => Spec {
-                kind: self,
-                n: 100_000,
-                d: 3,
-                datasets: 1,
-                batch: 1,
-                probes: 2048,
-                load: Load::Open { rate: 1000.0 },
-                write_share: 0.02,
-                setup_reps: 7,
-                warmup: Duration::from_secs(4),
-                window: Duration::from_secs(2),
+                window: Duration::from_secs(1),
                 windows_per_segment: 1,
             },
             Kind::RoutedEvict => Spec {
@@ -110,8 +87,7 @@ impl Kind {
                 batch: 1,
                 probes: 512,
                 load: Load::Closed { clients: 2 },
-                write_share: 0.0,
-                setup_reps: 7,
+                setup_reps: 9,
                 warmup: Duration::from_secs(2),
                 window: Duration::ZERO,
                 windows_per_segment: 1,
@@ -141,14 +117,13 @@ pub struct Spec {
     /// Distinct probe boxes the requests draw from.
     pub probes: usize,
     pub load: Load,
-    /// Share of open-loop requests that are `Insert`/`Delete`.
-    pub write_share: f64,
     /// Set-ups per run; `setup_s` is their median.
     pub setup_reps: usize,
     /// Traffic before the measured window: lets lazy set-up finish and the
     /// server's loops warm up.
     pub warmup: Duration,
-    /// Open loop: length of one window (see [`Window`]).
+    /// Length of one window (see [`Window`]); zero makes a closed-loop run
+    /// one window.
     pub window: Duration,
     /// Open loop: windows per connection segment.
     pub windows_per_segment: usize,
@@ -168,17 +143,7 @@ impl Spec {
 pub enum Op {
     Query,
     Count,
-    Write,
     Stats,
-}
-
-/// One request body of the pool.
-#[derive(Clone, Copy, Debug)]
-pub struct Meta {
-    pub op: Op,
-    pub dataset: usize,
-    /// First probe of the request's batch (probes `probe..probe + batch`).
-    pub probe: usize,
 }
 
 /// A generated dataset with its name on the server.
@@ -195,10 +160,10 @@ pub struct Inputs {
     pub probes: Vec<WeightRatioBox>,
     /// Unevicted, unrouted, in-process reference engines, one per dataset.
     pub references: Vec<EclipseEngine>,
-    /// Encoded read requests (then one `Stats`), with their metadata and
-    /// expected reply bodies (empty where the answer depends on the epoch).
+    /// Encoded read requests (then one `Stats`), with their operations and
+    /// expected reply bodies (empty for the `Stats`).
     pub bodies: Vec<Vec<u8>>,
-    pub meta: Vec<Meta>,
+    pub ops: Vec<Op>,
     pub expected: Vec<Vec<u8>>,
 }
 
@@ -246,39 +211,24 @@ impl Inputs {
                     .with_execution_context(ctx.clone())
             })
             .collect();
-        let epoch_checked = spec.write_share > 0.0;
         let mut bodies = Vec::new();
-        let mut meta = Vec::new();
+        let mut ops = Vec::new();
         let mut expected = Vec::new();
         for (j, ds) in datasets.iter().enumerate() {
             for b in 0..spec.batches() {
                 let boxes = &probes[b * spec.batch..(b + 1) * spec.batch];
-                let (q, c) = if epoch_checked {
-                    (Vec::new(), Vec::new())
-                } else {
-                    let results = check::reference_results(&references[j], boxes);
-                    (
-                        check::encode_read(&results, false),
-                        check::encode_read(&results, true),
-                    )
-                };
+                let results = check::reference_results(&references[j], boxes);
+                let q = check::encode_read(&results, false);
+                let c = check::encode_read(&results, true);
                 for (op, exp) in [(Op::Query, q), (Op::Count, c)] {
                     bodies.push(check::read_request(&ds.name, boxes, op == Op::Count));
-                    meta.push(Meta {
-                        op,
-                        dataset: j,
-                        probe: b * spec.batch,
-                    });
+                    ops.push(op);
                     expected.push(exp);
                 }
             }
         }
         bodies.push(Request::Stats.encode());
-        meta.push(Meta {
-            op: Op::Stats,
-            dataset: 0,
-            probe: 0,
-        });
+        ops.push(Op::Stats);
         expected.push(Vec::new());
         Inputs {
             spec,
@@ -287,7 +237,7 @@ impl Inputs {
             probes,
             references,
             bodies,
-            meta,
+            ops,
             expected,
         }
     }
@@ -357,13 +307,9 @@ pub fn deploy(inputs: &Inputs, cores: usize, scratch: &Path) -> Result<(Deployme
     };
     let mut servers = Vec::new();
     for (b, budget) in budgets.iter().enumerate().take(backends) {
-        let defaults = ServerConfig::default();
         let config = ServerConfig {
-            // The load connection multiplexes many users (see PIPE_DEPTH):
-            // only the server-wide in-flight cap applies to it.
-            max_pipeline: defaults.max_in_flight.max(wire::PIPE_DEPTH),
             max_memory_bytes: *budget,
-            ..defaults
+            ..ServerConfig::default()
         };
         let server = Server::bind_with_config(
             "127.0.0.1:0",
@@ -443,15 +389,16 @@ fn code_failure(code: u8) -> Option<Failure> {
     .find(|&f| failure_code(f) == code)
 }
 
-/// The measured requests of one window.  An open-loop run is cut into
-/// windows of [`Spec::window`]; per-window percentiles are summarised by
-/// their median over the run, so a burst of host noise moves one window,
-/// not the reported figure.  A closed-loop run is one window.
+/// The measured requests of one window.  A run is cut into windows of
+/// [`Spec::window`]; per-window figures are summarised by their median over
+/// the run, so a burst of host noise moves one window, not the reported
+/// figure.
 #[derive(Default)]
 pub struct Window {
     pub query: Samples,
     pub count: Samples,
-    pub write: Samples,
+    /// Closed loop: probes answered correctly within the window.
+    pub probes: u64,
     /// Open loop: how late the generator sent each request (µs).
     pub lag: Samples,
 }
@@ -461,7 +408,6 @@ impl Window {
         match op {
             Op::Query => &self.query,
             Op::Count => &self.count,
-            Op::Write => &self.write,
             Op::Stats => unreachable!("stats requests are not measured"),
         }
     }
@@ -474,15 +420,14 @@ pub struct Measurement {
     pub windows: Vec<Window>,
     pub window_s: f64,
     pub probes_ok: u64,
+    /// Probes answered correctly per second: over the whole run in open
+    /// loop, the median over windows in closed loop.
+    pub probes_per_s: f64,
     pub attempted: u64,
     pub failures: BTreeMap<Failure, u64>,
     pub wrong: Vec<String>,
-    /// `Stats` replies sampled during the run (open loop) or after it.
+    /// `Stats` replies sampled 4 times a second during the run.
     pub stats: Vec<StatsReport>,
-    /// Mutation acknowledgements by kind.
-    pub outcomes: BTreeMap<String, u64>,
-    /// Mutations the reference replayed to check the reads.
-    pub replayed: u64,
 }
 
 impl Measurement {
@@ -496,10 +441,6 @@ impl Measurement {
 
     pub fn failed(&self) -> u64 {
         self.failures.values().sum()
-    }
-
-    pub fn probes_per_s(&self) -> f64 {
-        self.probes_ok as f64 / self.window_s
     }
 
     /// All windows' samples of one kind, merged.
@@ -526,7 +467,6 @@ impl Measurement {
         let samples = match op {
             Op::Query => &mut w.query,
             Op::Count => &mut w.count,
-            Op::Write => &mut w.write,
             Op::Stats => unreachable!("stats requests are not measured"),
         };
         if code == OK {
@@ -544,84 +484,39 @@ impl Measurement {
 /// Reply handling on the receiver thread of an open-loop run.
 struct Replies<'a> {
     inputs: &'a Inputs,
-    plan: &'a [Planned],
-    writes_base: usize,
+    plan: &'a [u32],
     status: Vec<u8>,
     wrong: Vec<String>,
-    /// Reads of an epoch-checked run: (request id, body, epoch bound).
-    reads: Vec<(u64, Vec<u8>, u64)>,
-    acks: Vec<Option<(eclipse_serve::MutationKind, u64, u64)>>,
     stats: Vec<StatsReport>,
 }
 
 impl Replies<'_> {
-    fn on_reply(&mut self, id: u64, body: &[u8], shared: &Shared) {
-        let entry = self.plan[id as usize];
-        let b = entry.body as usize;
-        let code = match self.inputs.meta.get(b).map(|m| m.op) {
-            Some(Op::Stats) => match Response::decode(body) {
+    fn on_reply(&mut self, id: u64, body: &[u8]) {
+        let b = self.plan[id as usize] as usize;
+        let code = if self.inputs.ops[b] == Op::Stats {
+            match Response::decode(body) {
                 Ok(Response::Stats(report)) => {
                     self.stats.push(report);
                     OK
                 }
                 // A refused sample is simply missing; `Stats` is not load.
-                _ if typed_failure(body).is_some() => OK,
+                _ if matches!(check::classify(body, &[]), Verdict::Failed(_)) => OK,
                 other => {
                     self.wrong.push(format!("Stats answered {other:?}"));
                     WRONG
                 }
-            },
-            Some(_) if self.inputs.expected[b].is_empty() => {
-                // Epoch-checked read: keep it for the replay.
-                let hi = shared.writes_sent.load(std::sync::atomic::Ordering::SeqCst);
-                let code = typed_failure(body).map_or(OK, failure_code);
-                if code == OK {
-                    self.reads.push((id, body.to_vec(), hi));
-                }
-                code
             }
-            Some(_) => match check::classify(body, &self.inputs.expected[b]) {
+        } else {
+            match check::classify(body, &self.inputs.expected[b]) {
                 Verdict::Correct => OK,
                 Verdict::Failed(f) => failure_code(f),
                 Verdict::Wrong(why) => {
                     self.wrong.push(format!("request {id}: {why}"));
                     WRONG
                 }
-            },
-            None => {
-                let k = b - self.writes_base;
-                match Response::decode(body) {
-                    Ok(Response::Mutated { kind, epoch, len }) => {
-                        shared
-                            .acked_epoch
-                            .fetch_max(epoch, std::sync::atomic::Ordering::SeqCst);
-                        self.acks[k] = Some((kind, epoch, len));
-                        OK
-                    }
-                    _ => match typed_failure(body) {
-                        Some(f) => failure_code(f),
-                        None => {
-                            self.wrong.push(format!(
-                                "mutation {k} answered {:?}",
-                                Response::decode(body)
-                            ));
-                            WRONG
-                        }
-                    },
-                }
             }
         };
         self.status[id as usize] = code;
-    }
-}
-
-fn typed_failure(body: &[u8]) -> Option<Failure> {
-    match Response::decode(body) {
-        Ok(Response::Overloaded { .. }) => Some(Failure::Overloaded),
-        Ok(Response::Timeout { .. }) => Some(Failure::Timeout),
-        Ok(Response::Error(_)) => Some(Failure::ServerError),
-        Ok(Response::DatasetUnavailable { .. }) => Some(Failure::Unavailable),
-        _ => None,
     }
 }
 
@@ -653,60 +548,23 @@ fn measure_open(
     let total = (rate * (spec.warmup + window).as_secs_f64()).round() as usize;
     let stats_every = ((rate / STATS_PER_S) as usize).max(1);
     let zipf = inputs::zipf_cdf(spec.datasets);
-    let writes_base = inputs.bodies.len();
-    // Writes go at fixed positions (every `1 / write_share`-th request), so
-    // every window carries the same number of them.
-    let write_every = (spec.write_share > 0.0).then(|| (1.0 / spec.write_share).round() as usize);
-    let mut plan = Vec::with_capacity(total);
-    let mut writes = 0usize;
-    for i in 0..total {
-        let entry = if i % stats_every == stats_every - 1 {
-            Planned {
-                body: inputs.stats_body(),
-                write: false,
+    let plan: Vec<u32> = (0..total)
+        .map(|i| {
+            if i % stats_every == stats_every - 1 {
+                inputs.stats_body()
+            } else {
+                let dataset = inputs::draw(&zipf, &mut rng);
+                let batch = rng.below(spec.batches());
+                let count = rng.unit() < 0.5;
+                inputs.read_body(dataset, batch, count)
             }
-        } else if write_every.is_some_and(|every| i % every == every / 2) {
-            writes += 1;
-            Planned {
-                body: (writes_base + writes - 1) as u32,
-                write: true,
-            }
-        } else {
-            let dataset = inputs::draw(&zipf, &mut rng);
-            let batch = rng.below(spec.batches());
-            let count = rng.unit() < 0.5;
-            Planned {
-                body: inputs.read_body(dataset, batch, count),
-                write: false,
-            }
-        };
-        plan.push(entry);
-    }
-    let mutations = if writes > 0 {
-        inputs::mutation_schedule(
-            &inputs.datasets[0].points,
-            writes,
-            &mut Rng::derive(inputs.seed, inputs::SALT_MUTATIONS + (phase << 8)),
-        )
-    } else {
-        Vec::new()
-    };
-    let mut bodies = inputs.bodies.clone();
-    bodies.extend(
-        mutations
-            .iter()
-            .map(|m| m.request(&inputs.datasets[0].name)),
-    );
-
-    let shared = Shared::default();
+        })
+        .collect();
     let mut replies = Replies {
         inputs,
         plan: &plan,
-        writes_base,
         status: vec![failure_code(Failure::NoReply); total],
         wrong: Vec::new(),
-        reads: Vec::new(),
-        acks: vec![None; writes],
         stats: Vec::new(),
     };
     // The warm-up, then segments of `windows_per_segment` windows, each
@@ -723,7 +581,6 @@ fn measure_open(
     bounds.extend((1..=segments).map(|k| (warm + k * per_segment).min(total)));
     let window_ns = spec.window.as_nanos() as u64;
     let mut m = Measurement::with_windows(segments * split, 0.0);
-    let mut lo_epoch = vec![0u64; total];
     let trace_stride = (total / TRACED_REQUESTS).max(1);
     let mut tracer = tracer;
     for (seg, range) in bounds.windows(2).map(|b| b[0]..b[1]).enumerate() {
@@ -735,22 +592,17 @@ fn measure_open(
             rate,
             &plan[range.clone()],
             range.start,
-            &bodies,
-            &shared,
+            &inputs.bodies,
             tracer.is_some(),
-            |id, body, shared| replies.on_reply(id, body, shared),
+            |id, body| replies.on_reply(id, body),
         )?;
-        lo_epoch[range.start..range.start + out.sent].copy_from_slice(&out.lo_epoch);
         if seg == 0 {
             continue; // warm-up
         }
         let mut last_reply = 0;
         for i in 0..out.sent {
             let id = range.start + i;
-            let op = inputs
-                .meta
-                .get(plan[id].body as usize)
-                .map_or(Op::Write, |meta| meta.op);
+            let op = inputs.ops[plan[id] as usize];
             if op == Op::Stats {
                 continue;
             }
@@ -791,44 +643,7 @@ fn measure_open(
     // answered correctly.
     m.wrong = replies.wrong;
     m.stats = replies.stats;
-    if writes > 0 {
-        let reads: Vec<ReadObs> = replies
-            .reads
-            .iter()
-            .map(|(id, body, hi)| {
-                let meta = inputs.meta[plan[*id as usize].body as usize];
-                ReadObs {
-                    probe: meta.probe,
-                    count: meta.op == Op::Count,
-                    lo: lo_epoch[*id as usize],
-                    hi: *hi,
-                    body: body.clone(),
-                }
-            })
-            .collect();
-        let writes: Vec<WriteObs> = mutations
-            .into_iter()
-            .zip(&replies.acks)
-            .map(|(mutation, ack)| WriteObs {
-                mutation,
-                ack: *ack,
-            })
-            .collect();
-        for w in &writes {
-            if let Some((kind, _, _)) = w.ack {
-                *m.outcomes.entry(format!("{kind:?}")).or_default() += 1;
-            }
-        }
-        match check::check_epochs(
-            inputs.datasets[0].points.clone(),
-            &inputs.probes,
-            &reads,
-            &writes,
-        ) {
-            Ok(replayed) => m.replayed = replayed,
-            Err(why) => m.wrong.push(why),
-        }
-    }
+    m.probes_per_s = m.probes_ok as f64 / m.window_s;
     Ok(m)
 }
 
@@ -836,7 +651,6 @@ fn op_span(op: Op) -> &'static str {
     match op {
         Op::Query => "request.query",
         Op::Count => "request.count",
-        Op::Write => "request.write",
         Op::Stats => "request.stats",
     }
 }
@@ -875,7 +689,7 @@ fn measure_closed(
         spec.warmup + window,
         monitor,
         |b, reply| {
-            if inputs.meta[b as usize].op == Op::Stats {
+            if inputs.ops[b as usize] == Op::Stats {
                 if let Ok(Response::Stats(report)) = Response::decode(reply) {
                     sampled.lock().expect("stats samples").push(report);
                 }
@@ -891,23 +705,38 @@ fn measure_closed(
             }
         },
     )?;
-    let mut m = Measurement::with_windows(1, window.as_secs_f64());
+    let count = if spec.window.is_zero() {
+        1
+    } else {
+        ((window.as_secs_f64() / spec.window.as_secs_f64()).round() as usize).max(1)
+    };
+    let window_ns = (window.as_nanos() as u64 / count as u64).max(1);
+    let mut m = Measurement::with_windows(count, window.as_secs_f64());
     m.wrong = wrong.into_inner().expect("wrong-answer log");
     m.stats = sampled.into_inner().expect("stats samples");
     let warm_ns = spec.warmup.as_nanos() as u64;
     let end_ns = (spec.warmup + window).as_nanos() as u64;
+    // A request belongs to the window its reply arrived in.
+    let window_of = |recv_ns: u64| (recv_ns.saturating_sub(warm_ns) / window_ns) as usize;
     let mut tracer = tracer;
     let trace_stride = (recs.iter().map(Vec::len).sum::<usize>() / TRACED_REQUESTS).max(1);
     for (id, rec) in recs.iter().flatten().enumerate() {
-        let op = inputs.meta[rec.body as usize].op;
+        let op = inputs.ops[rec.body as usize];
         if rec.recv_ns >= warm_ns && rec.recv_ns <= end_ns && rec.status == OK {
             m.probes_ok += spec.batch as u64;
+            m.windows[window_of(rec.recv_ns).min(count - 1)].probes += spec.batch as u64;
         }
         if rec.send_ns < warm_ns {
             continue;
         }
         let latency = (rec.recv_ns - rec.send_ns) as f64 / 1e3;
-        m.note(0, op, rec.status, latency, 0);
+        m.note(
+            window_of(rec.recv_ns).min(count - 1),
+            op,
+            rec.status,
+            latency,
+            0,
+        );
         if let Some(t) = tracer.as_deref_mut().filter(|_| id % trace_stride == 0) {
             let id = id as u64;
             let at = |ns: u64| t0 + Duration::from_nanos(ns);
@@ -928,6 +757,12 @@ fn measure_closed(
             );
         }
     }
+    let rates: Vec<f64> = m
+        .windows
+        .iter()
+        .map(|w| w.probes as f64 * 1e9 / window_ns as f64)
+        .collect();
+    m.probes_per_s = stats::median(&rates);
     Ok(m)
 }
 
