@@ -60,7 +60,7 @@ impl Kind {
                 datasets: 1,
                 batch: 1,
                 probes: 2048,
-                load: Load::Open { rate: 20000.0 },
+                load: Load::Open { rate: 10000.0 },
                 setup_reps: 21,
                 warmup: Duration::from_secs(1),
                 window: Duration::from_millis(250),
