@@ -15,7 +15,6 @@ pub enum Failure {
     Timeout,
     ServerError,
     Unavailable,
-    NoReply,
 }
 
 /// The outcome of checking one reply.

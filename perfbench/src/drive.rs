@@ -1,220 +1,14 @@
-//! Load generators.
-//!
-//! * [`open_loop`]: one pipelined v2 connection; a sender thread submits
-//!   request `i` at `t0 + i / rate` whatever the server is doing, and a
-//!   receiver thread takes the replies.  Latency is timed from the
-//!   *scheduled* send time, so a stall is charged to every request it
-//!   delays; the sender's own lateness is recorded separately as the
-//!   generator lag.
-//! * [`closed_loop`]: a few blocking clients, each sending its next request
-//!   only after the previous reply arrived.
+//! The load generator: a few blocking clients, each sending its next
+//! request only after the previous reply arrived, and timing every request
+//! from its own send to its reply.
 
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use crate::wire::{self, Receiver, Sender};
+use crate::wire;
 
-/// Server-side deadline on every load request: a request that waits longer
-/// than this in the server's queue is answered with a typed `Timeout`.
-pub const DEADLINE_MS: u32 = 2000;
-
-/// How long the receiver waits for outstanding replies after the last send.
+/// How long a client waits for a reply beyond the end of the run.
 pub const GRACE: Duration = Duration::from_secs(5);
-
-/// Sentinel for "no reply received".
-pub const NO_REPLY: u64 = u64::MAX;
-
-/// Per-request timings of an open-loop run, all in nanoseconds from `t0`.
-#[derive(Debug)]
-pub struct OpenLoopOut {
-    pub t0: Instant,
-    pub interval_ns: f64,
-    /// Requests actually sent (the schedule may be cut short by an error).
-    pub sent: usize,
-    /// Scheduled send time to the actual start of the send.
-    pub lag_ns: Vec<u64>,
-    /// Start of the send and the end of the flush that put it on the wire.
-    pub send_ns: Vec<(u64, u64)>,
-    /// Reply received ([`NO_REPLY`] if none) and reply checked.
-    pub recv_ns: Vec<u64>,
-    pub checked_ns: Vec<u64>,
-}
-
-impl OpenLoopOut {
-    pub fn due_ns(&self, i: usize) -> u64 {
-        (i as f64 * self.interval_ns) as u64
-    }
-}
-
-/// Runs `plan` at `rate` requests/s on a fresh connection to `addr`.
-/// Request `i` of the plan goes out with id `first + i`.  `bodies` holds
-/// the encoded requests the plan indexes; `on_reply(id, body)` runs on the
-/// receiver thread for every reply.  Only with `trace` are the flush
-/// and check instants taken (`send_ns.1` and `checked_ns` stay 0 without).
-/// The returned vectors are indexed by position in `plan`.
-#[allow(clippy::too_many_arguments)]
-pub fn open_loop<F>(
-    addr: SocketAddr,
-    rate: f64,
-    plan: &[u32],
-    first: usize,
-    bodies: &[Vec<u8>],
-    trace: bool,
-    mut on_reply: F,
-) -> Result<OpenLoopOut, String>
-where
-    F: FnMut(u64, &[u8]) + Send,
-{
-    let stream = wire::connect_v2(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    let mut receiver = Receiver::new(
-        stream.try_clone().map_err(|e| e.to_string())?,
-        Duration::from_millis(20),
-    )
-    .map_err(|e| e.to_string())?;
-    let mut sender = Sender::new(stream);
-    let total = plan.len();
-    let interval_ns = 1e9 / rate;
-    // Start a little in the future so both threads are running at t0.
-    let t0 = Instant::now() + Duration::from_millis(20);
-    let since = move |at: Instant| at.saturating_duration_since(t0).as_nanos() as u64;
-    let sent_count = AtomicU64::new(0);
-    let sender_done = AtomicBool::new(false);
-
-    let (send_side, recv_side) = std::thread::scope(|scope| {
-        let send = scope.spawn(|| {
-            tighten_timer_slack();
-            let mut lag_ns = Vec::with_capacity(total);
-            let mut send_ns: Vec<(u64, u64)> = Vec::with_capacity(total);
-            let mut error = None;
-            let mut burst = 0;
-            let mut i = 0;
-            while i < total {
-                let due = t0 + Duration::from_nanos((i as f64 * interval_ns) as u64);
-                let now = Instant::now();
-                if now < due {
-                    if burst < i {
-                        if let Err(e) = sender.flush() {
-                            error = Some(e.to_string());
-                            break;
-                        }
-                        if trace {
-                            let end = since(Instant::now());
-                            for s in &mut send_ns[burst..i] {
-                                s.1 = end;
-                            }
-                        }
-                        burst = i;
-                    }
-                    std::thread::sleep(due - now);
-                    continue;
-                }
-                let id = (first + i) as u64;
-                if let Err(e) = sender.send(id, DEADLINE_MS, &bodies[plan[i] as usize]) {
-                    error = Some(e.to_string());
-                    break;
-                }
-                lag_ns.push(now.saturating_duration_since(due).as_nanos() as u64);
-                send_ns.push((since(now), 0));
-                i += 1;
-                sent_count.store(i as u64, Ordering::SeqCst);
-            }
-            if error.is_none() {
-                if let Err(e) = sender.flush() {
-                    error = Some(e.to_string());
-                }
-            }
-            if trace {
-                let end = since(Instant::now());
-                for s in &mut send_ns[burst..] {
-                    s.1 = end;
-                }
-            }
-            sender_done.store(true, Ordering::SeqCst);
-            (lag_ns, send_ns, error)
-        });
-        let recv = scope.spawn(|| {
-            let mut recv_ns = vec![NO_REPLY; total];
-            let mut checked_ns = vec![0; total];
-            let mut received = 0u64;
-            let mut give_up: Option<Instant> = None;
-            let mut error = None;
-            loop {
-                if sender_done.load(Ordering::SeqCst) {
-                    if received >= sent_count.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let limit = *give_up.get_or_insert_with(|| Instant::now() + GRACE);
-                    if Instant::now() >= limit {
-                        break;
-                    }
-                }
-                match receiver.next() {
-                    Ok(Some((id, body))) => {
-                        let at = Instant::now();
-                        let local = (id as usize).wrapping_sub(first);
-                        let Some(slot) = recv_ns.get_mut(local) else {
-                            error = Some(format!("reply for unknown request {id}"));
-                            break;
-                        };
-                        *slot = since(at);
-                        on_reply(id, &body);
-                        if trace {
-                            checked_ns[local] = since(Instant::now());
-                        }
-                        received += 1;
-                    }
-                    Ok(None) => {}
-                    Err(e) => {
-                        error = Some(e.to_string());
-                        break;
-                    }
-                }
-            }
-            (recv_ns, checked_ns, error)
-        });
-        (
-            send.join().expect("sender thread panicked"),
-            recv.join().expect("receiver thread panicked"),
-        )
-    });
-    let (lag_ns, send_ns, send_err) = send_side;
-    let (recv_ns, checked_ns, recv_err) = recv_side;
-    if let Some(e) = send_err.or(recv_err) {
-        return Err(format!("open loop against {addr}: {e}"));
-    }
-    Ok(OpenLoopOut {
-        t0,
-        interval_ns,
-        sent: lag_ns.len(),
-        lag_ns,
-        send_ns,
-        recv_ns,
-        checked_ns,
-    })
-}
-
-/// Asks the kernel to end this thread's sleeps on time.  Linux lets a
-/// sleep overrun by the thread's timer slack (50 µs by default) to batch
-/// wake-ups; at thousands of sends per second that overrun would dominate
-/// the generator's lateness and be charged to every latency.
-#[cfg(target_os = "linux")]
-fn tighten_timer_slack() {
-    extern "C" {
-        fn prctl(option: std::ffi::c_int, ...) -> std::ffi::c_int;
-    }
-    const PR_SET_TIMERSLACK: std::ffi::c_int = 29;
-    // SAFETY: PR_SET_TIMERSLACK takes one integer argument (the slack in
-    // nanoseconds), changes only the calling thread's timer slack and reads
-    // or writes no memory of this process.  Failure leaves the default
-    // slack, which only makes the generator lag more.
-    unsafe {
-        prctl(PR_SET_TIMERSLACK, 1 as std::ffi::c_ulong);
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-fn tighten_timer_slack() {}
 
 /// One closed-loop request: which body, when it was sent and answered
 /// (nanoseconds from the run's `t0`), and the reply handler's verdict code.

@@ -5,7 +5,7 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 use crate::stats;
-use crate::workloads::{Inputs, Load, Measurement, Op, Window};
+use crate::workloads::{Inputs, Measurement, Op, CLIENTS};
 use crate::Args;
 
 /// The end-to-end metrics of the final JSON line, in order.
@@ -18,16 +18,6 @@ pub const END_TO_END: [&str; 7] = [
     "probes_per_s",
     "resident_bytes",
 ];
-
-/// Generator lateness (p99) beyond which an open-loop run is invalid: the
-/// schedule was not kept, so the latencies would measure the generator.
-pub const LAG_LIMIT_US: f64 = 5000.0;
-
-/// A window counts when the generator kept its schedule in it (closed-loop
-/// windows have no schedule and always count).
-fn window_valid(w: &Window) -> bool {
-    w.lag.tail().is_none_or(|(_, lag)| lag <= LAG_LIMIT_US)
-}
 
 /// Value printed for a timing whose percentile falls on a missed request.
 const MISSED_JSON: f64 = 1e12;
@@ -79,14 +69,13 @@ impl Report {
     }
 
     /// Records a timing metric: per window the p50 (`tail = false`) or the
-    /// p99 (`tail = true`), then the median over the windows in which the
-    /// generator kept its schedule.  When the windows are too small for a
-    /// p99, the tail is the whole run's highest percentile up to p99 with
-    /// ten samples beyond it.
+    /// p99 (`tail = true`), then the median over the windows.  When the
+    /// windows are too small for a p99, the tail is the whole run's highest
+    /// percentile up to p99 with ten samples beyond it.
     pub fn timing(&mut self, name: &str, m: &Measurement, op: Op, tail: bool) {
         let mut per_window = Vec::new();
         let mut percentiles = Vec::new();
-        for w in m.windows.iter().filter(|w| window_valid(w)) {
+        for w in &m.windows {
             let samples = w.op(op);
             let point = if tail {
                 samples.tail().filter(|&(p, _)| p >= 99.0)
@@ -118,10 +107,9 @@ impl Report {
             )
         } else {
             format!(
-                "median over {} valid of {} windows of each window's p{}; \
+                "median over {} windows of each window's p{}; \
                  {} samples, {} missed; whole-run p{} = {}; windows {:?}",
                 per_window.len(),
-                m.windows.len(),
                 stats::median(&percentiles),
                 all.len(),
                 all.missed(),
@@ -154,21 +142,17 @@ impl Report {
         self.timing("query_p99_us", m, Op::Query, true);
         self.timing("count_p50_us", m, Op::Count, false);
         self.timing("count_p99_us", m, Op::Count, true);
-        let load = match spec.load {
-            Load::Open { rate } => format!("open loop at {rate} requests/s"),
-            Load::Closed { clients } => format!("closed loop, {clients} clients"),
-        };
-        let rate = match (spec.load, m.windows.len()) {
-            (Load::Closed { .. }, n) if n > 1 => format!("median over {n} windows; "),
-            _ => String::new(),
-        };
         self.metric(
             "probes_per_s",
             m.probes_per_s,
             "probes/s",
             format!(
-                "{rate}{} probes answered in {} s, {} probes per request, {load}",
-                m.probes_ok, m.window_s, spec.batch
+                "median over {} windows; {} probes answered in {} s, {} probes per request, \
+                 closed loop, {CLIENTS} clients",
+                m.windows.len(),
+                m.probes_ok,
+                m.window_s,
+                spec.batch,
             ),
         );
         self.metric(
@@ -181,7 +165,7 @@ impl Report {
     }
 
     /// Lines that are reported but not part of the final JSON: server
-    /// counters, failures, generator lag and run validity.
+    /// counters and failures.
     pub fn info_block(&mut self, m: &Measurement) {
         if let (Some(first), Some(last)) = (m.stats.first(), m.stats.last()) {
             let probes = last.probes.saturating_sub(first.probes).max(1);
@@ -211,36 +195,6 @@ impl Report {
             m.attempted,
             m.failures
         ));
-        let lag = m.all(|w| &w.lag);
-        if lag.len() > 0 {
-            let per_window: Vec<String> = m
-                .windows
-                .iter()
-                .map(|w| format!("{:.0}", w.lag.tail().map_or(f64::NAN, |t| t.1)))
-                .collect();
-            self.note(format!(
-                "info gen_lag_p99_us = {} us (p99 of {} sends, p50 {} us; per window [{}]; \
-                 a window is valid while its p99 <= {LAG_LIMIT_US} us)",
-                lag.percentile(99.0),
-                lag.len(),
-                lag.median(),
-                per_window.join(", ")
-            ));
-        }
-    }
-
-    /// `None` when the run kept its schedule in at least half its windows,
-    /// else why it did not.
-    pub fn invalid(m: &Measurement) -> Option<String> {
-        let valid = m.windows.iter().filter(|w| window_valid(w)).count();
-        (2 * valid < m.windows.len()).then(|| {
-            format!(
-                "invalid run: the load generator fell behind its schedule in {} of {} windows \
-                 (gen_lag_p99_us > {LAG_LIMIT_US})",
-                m.windows.len() - valid,
-                m.windows.len()
-            )
-        })
     }
 
     /// Fails when the metrics recorded are not exactly `expected`, in order.
@@ -259,15 +213,11 @@ impl Report {
         self.wrong.is_empty()
     }
 
-    /// The report's lines (everything but the final JSON line).
-    pub fn print_lines(&self, out: &mut impl std::io::Write) {
-        for line in &self.lines {
-            let _ = writeln!(out, "{line}");
-        }
-    }
-
+    /// Prints the report's lines, the wrong answers and the JSON line.
     pub fn print(&self) {
-        self.print_lines(&mut std::io::stdout());
+        for line in &self.lines {
+            println!("{line}");
+        }
         for (i, why) in self.wrong.iter().enumerate().take(20) {
             println!("wrong answer {i}: {why}");
         }

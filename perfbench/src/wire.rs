@@ -1,7 +1,6 @@
-//! Raw protocol-v2 connections.  The load generators speak the wire
+//! Raw protocol-v2 connections.  The load generator speaks the wire
 //! protocol through `eclipse_serve::protocol`'s public codec directly (not
-//! the client library), so a connection can be split into a sending and a
-//! receiving half and every reply body can be compared byte for byte.
+//! the client library), so every reply body can be compared byte for byte.
 
 use std::io::{self, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -15,7 +14,7 @@ use eclipse_serve::server::ServerConfig;
 
 /// Opens a connection and negotiates protocol v2 with a `Hello`, asking
 /// for the server's default per-connection pipeline depth.
-pub fn connect_v2(addr: SocketAddr) -> io::Result<TcpStream> {
+fn connect_v2(addr: SocketAddr) -> io::Result<TcpStream> {
     let mut stream = TcpStream::connect(addr)?;
     stream.set_nodelay(true)?;
     let hello = Request::Hello {
@@ -33,40 +32,9 @@ pub fn connect_v2(addr: SocketAddr) -> io::Result<TcpStream> {
     }
 }
 
-/// Buffered writer half: frames one request (v2 header + body).
-pub struct Sender {
-    writer: BufWriter<TcpStream>,
-    frame: Vec<u8>,
-}
-
-impl Sender {
-    pub fn new(stream: TcpStream) -> Sender {
-        Sender {
-            writer: BufWriter::with_capacity(1 << 16, stream),
-            frame: Vec::new(),
-        }
-    }
-
-    /// Buffers one request; [`Sender::flush`] puts it on the wire.
-    pub fn send(&mut self, request_id: u64, deadline_ms: u32, body: &[u8]) -> io::Result<()> {
-        self.frame.clear();
-        FrameHeader {
-            request_id,
-            deadline_ms,
-        }
-        .encode_into(&mut self.frame);
-        self.frame.extend_from_slice(body);
-        write_frame(&mut self.writer, &self.frame)
-    }
-
-    pub fn flush(&mut self) -> io::Result<()> {
-        self.writer.flush()
-    }
-}
-
 /// Reader half that survives read timeouts: bytes accumulate until a whole
 /// frame is present, so a timeout between (or inside) frames loses nothing.
-pub struct Receiver {
+struct Receiver {
     stream: TcpStream,
     buf: Vec<u8>,
     start: usize,
@@ -75,7 +43,7 @@ pub struct Receiver {
 impl Receiver {
     /// `poll` bounds each blocking read, so the caller regains control at
     /// least that often.
-    pub fn new(stream: TcpStream, poll: Duration) -> io::Result<Receiver> {
+    fn new(stream: TcpStream, poll: Duration) -> io::Result<Receiver> {
         stream.set_read_timeout(Some(poll))?;
         Ok(Receiver {
             stream,
@@ -86,7 +54,7 @@ impl Receiver {
 
     /// The next reply as `(request id, body)`; `Ok(None)` when the poll
     /// interval passed without a complete frame.
-    pub fn next(&mut self) -> io::Result<Option<(u64, Vec<u8>)>> {
+    fn next(&mut self) -> io::Result<Option<(u64, Vec<u8>)>> {
         loop {
             if let Some(reply) = self.take_frame()? {
                 return Ok(Some(reply));
@@ -145,9 +113,10 @@ impl Receiver {
     }
 }
 
-/// A blocking request/response connection (closed loop and control calls).
+/// A blocking request/response connection (load clients and control calls).
 pub struct Conn {
-    sender: Sender,
+    writer: BufWriter<TcpStream>,
+    frame: Vec<u8>,
     receiver: Receiver,
     next_id: u64,
 }
@@ -157,7 +126,8 @@ impl Conn {
         let stream = connect_v2(addr)?;
         let receiver = Receiver::new(stream.try_clone()?, Duration::from_millis(200))?;
         Ok(Conn {
-            sender: Sender::new(stream),
+            writer: BufWriter::new(stream),
+            frame: Vec::new(),
             receiver,
             next_id: 0,
         })
@@ -168,8 +138,15 @@ impl Conn {
     pub fn call_raw(&mut self, body: &[u8], timeout: Duration) -> io::Result<Vec<u8>> {
         let id = self.next_id;
         self.next_id += 1;
-        self.sender.send(id, 0, body)?;
-        self.sender.flush()?;
+        self.frame.clear();
+        FrameHeader {
+            request_id: id,
+            deadline_ms: 0,
+        }
+        .encode_into(&mut self.frame);
+        self.frame.extend_from_slice(body);
+        write_frame(&mut self.writer, &self.frame)?;
+        self.writer.flush()?;
         let give_up = std::time::Instant::now() + timeout;
         loop {
             match self.receiver.next()? {

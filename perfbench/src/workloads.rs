@@ -1,7 +1,8 @@
-//! The three workloads: what each deploys, generates, sends and checks.
-//! All of them run one dataset family, INDE, against in-process servers
-//! (and, for `routed-evict`, an in-process router) on loopback TCP, from
-//! one process with at most two load threads and two connections.
+//! The two workloads: what each deploys, generates, sends and checks.
+//! Both run one dataset family, INDE, against in-process servers (and, for
+//! `routed-evict`, an in-process router) on loopback TCP, from one process
+//! with [`CLIENTS`] blocking clients in closed loop, one thread and one
+//! connection each.
 
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
@@ -15,15 +16,18 @@ use eclipse_serve::server::{Server, ServerConfig, ServerHandle};
 use eclipse_serve::Client;
 
 use crate::check::{self, Failure, Verdict};
-use crate::drive::{self, NO_REPLY};
+use crate::drive;
 use crate::inputs;
 use crate::rng::Rng;
 use crate::spans::Tracer;
 use crate::stats::{self, Samples};
 use crate::wire;
 
-/// How often an open-loop run samples `Stats` on its load connection.
+/// How often a run samples `Stats` on its first load connection.
 const STATS_PER_S: f64 = 4.0;
+
+/// Load clients: `nproc` on the reference host.
+pub const CLIENTS: usize = 2;
 
 /// Requests per traced phase whose spans are kept: every k-th request is
 /// traced so memory and the span dump stay bounded at high rates.
@@ -31,17 +35,15 @@ const TRACED_REQUESTS: usize = 20_000;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Kind {
-    SmallProbe,
     HeavyBatch,
     RoutedEvict,
 }
 
 impl Kind {
-    pub const ALL: [Kind; 3] = [Kind::SmallProbe, Kind::HeavyBatch, Kind::RoutedEvict];
+    pub const ALL: [Kind; 2] = [Kind::HeavyBatch, Kind::RoutedEvict];
 
     pub fn name(self) -> &'static str {
         match self {
-            Kind::SmallProbe => "small-probe",
             Kind::HeavyBatch => "heavy-batch",
             Kind::RoutedEvict => "routed-evict",
         }
@@ -53,19 +55,6 @@ impl Kind {
 
     pub fn spec(self) -> Spec {
         match self {
-            Kind::SmallProbe => Spec {
-                kind: self,
-                n: 16_384,
-                d: 3,
-                datasets: 1,
-                batch: 1,
-                probes: 2048,
-                load: Load::Open { rate: 10000.0 },
-                setup_reps: 21,
-                warmup: Duration::from_secs(1),
-                window: Duration::from_millis(250),
-                windows_per_segment: 4,
-            },
             Kind::HeavyBatch => Spec {
                 kind: self,
                 n: 32_768,
@@ -73,11 +62,9 @@ impl Kind {
                 datasets: 1,
                 batch: 16,
                 probes: 1024,
-                load: Load::Closed { clients: 2 },
                 setup_reps: 5,
                 warmup: Duration::from_secs(1),
-                window: Duration::from_secs(1),
-                windows_per_segment: 1,
+                window_requests: 96,
             },
             Kind::RoutedEvict => Spec {
                 kind: self,
@@ -86,23 +73,12 @@ impl Kind {
                 datasets: 6,
                 batch: 1,
                 probes: 512,
-                load: Load::Closed { clients: 2 },
                 setup_reps: 9,
                 warmup: Duration::from_secs(2),
-                window: Duration::ZERO,
-                windows_per_segment: 1,
+                window_requests: 0,
             },
         }
     }
-}
-
-/// How load is offered.
-#[derive(Clone, Copy, Debug)]
-pub enum Load {
-    /// Requests sent on a fixed schedule over one pipelined connection.
-    Open { rate: f64 },
-    /// Blocking clients, each waiting for its reply before sending again.
-    Closed { clients: usize },
 }
 
 /// Everything that defines a workload.
@@ -116,17 +92,14 @@ pub struct Spec {
     pub batch: usize,
     /// Distinct probe boxes the requests draw from.
     pub probes: usize,
-    pub load: Load,
     /// Set-ups per run; `setup_s` is their median.
     pub setup_reps: usize,
     /// Traffic before the measured window: lets lazy set-up finish and the
     /// server's loops warm up.
     pub warmup: Duration,
-    /// Length of one window (see [`Window`]); zero makes a closed-loop run
+    /// Measured requests per window (see [`Window`]); zero makes the run
     /// one window.
-    pub window: Duration,
-    /// Open loop: windows per connection segment.
-    pub windows_per_segment: usize,
+    pub window_requests: usize,
 }
 
 impl Spec {
@@ -383,24 +356,21 @@ fn code_failure(code: u8) -> Option<Failure> {
         Failure::Timeout,
         Failure::ServerError,
         Failure::Unavailable,
-        Failure::NoReply,
     ]
     .into_iter()
     .find(|&f| failure_code(f) == code)
 }
 
-/// The measured requests of one window.  A run is cut into windows of
-/// [`Spec::window`]; per-window figures are summarised by their median over
-/// the run, so a burst of host noise moves one window, not the reported
-/// figure.
+/// The measured requests of one window.  A run is cut, in reply order,
+/// into windows of [`Spec::window_requests`] requests; per-window figures
+/// are summarised by their median over the run, so a burst of host noise
+/// moves a few windows, not the reported figure.
 #[derive(Default)]
 pub struct Window {
     pub query: Samples,
     pub count: Samples,
-    /// Closed loop: probes answered correctly within the window.
+    /// Probes answered correctly within the window.
     pub probes: u64,
-    /// Open loop: how late the generator sent each request (µs).
-    pub lag: Samples,
 }
 
 impl Window {
@@ -420,8 +390,7 @@ pub struct Measurement {
     pub windows: Vec<Window>,
     pub window_s: f64,
     pub probes_ok: u64,
-    /// Probes answered correctly per second: over the whole run in open
-    /// loop, the median over windows in closed loop.
+    /// Probes answered correctly per second, the median over windows.
     pub probes_per_s: f64,
     pub attempted: u64,
     pub failures: BTreeMap<Failure, u64>,
@@ -431,14 +400,6 @@ pub struct Measurement {
 }
 
 impl Measurement {
-    fn with_windows(count: usize, window_s: f64) -> Measurement {
-        Measurement {
-            windows: (0..count).map(|_| Window::default()).collect(),
-            window_s,
-            ..Measurement::default()
-        }
-    }
-
     pub fn failed(&self) -> u64 {
         self.failures.values().sum()
     }
@@ -461,7 +422,7 @@ impl Measurement {
         s.median()
     }
 
-    fn note(&mut self, window: usize, op: Op, code: u8, latency_us: f64, probes: usize) {
+    fn note(&mut self, window: usize, op: Op, code: u8, latency_us: f64) {
         self.attempted += 1;
         let w = &mut self.windows[window];
         let samples = match op {
@@ -471,7 +432,6 @@ impl Measurement {
         };
         if code == OK {
             samples.push(latency_us);
-            self.probes_ok += probes as u64;
         } else {
             samples.push_missed();
             if let Some(f) = code_failure(code) {
@@ -479,172 +439,6 @@ impl Measurement {
             }
         }
     }
-}
-
-/// Reply handling on the receiver thread of an open-loop run.
-struct Replies<'a> {
-    inputs: &'a Inputs,
-    plan: &'a [u32],
-    status: Vec<u8>,
-    wrong: Vec<String>,
-    stats: Vec<StatsReport>,
-}
-
-impl Replies<'_> {
-    fn on_reply(&mut self, id: u64, body: &[u8]) {
-        let b = self.plan[id as usize] as usize;
-        let code = if self.inputs.ops[b] == Op::Stats {
-            match Response::decode(body) {
-                Ok(Response::Stats(report)) => {
-                    self.stats.push(report);
-                    OK
-                }
-                // A refused sample is simply missing; `Stats` is not load.
-                _ if matches!(check::classify(body, &[]), Verdict::Failed(_)) => OK,
-                other => {
-                    self.wrong.push(format!("Stats answered {other:?}"));
-                    WRONG
-                }
-            }
-        } else {
-            match check::classify(body, &self.inputs.expected[b]) {
-                Verdict::Correct => OK,
-                Verdict::Failed(f) => failure_code(f),
-                Verdict::Wrong(why) => {
-                    self.wrong.push(format!("request {id}: {why}"));
-                    WRONG
-                }
-            }
-        };
-        self.status[id as usize] = code;
-    }
-}
-
-/// Runs one measured phase (the warm-up, then `window`) against `dep`.  With a
-/// tracer, every measured request also leaves its spans.
-pub fn measure(
-    inputs: &Inputs,
-    dep: &Deployment,
-    phase: u64,
-    window: Duration,
-    tracer: Option<&mut Tracer>,
-) -> Result<Measurement, String> {
-    match inputs.spec.load {
-        Load::Open { rate } => measure_open(inputs, dep, rate, phase, window, tracer),
-        Load::Closed { clients } => measure_closed(inputs, dep, clients, phase, window, tracer),
-    }
-}
-
-fn measure_open(
-    inputs: &Inputs,
-    dep: &Deployment,
-    rate: f64,
-    phase: u64,
-    window: Duration,
-    tracer: Option<&mut Tracer>,
-) -> Result<Measurement, String> {
-    let spec = &inputs.spec;
-    let mut rng = Rng::derive(inputs.seed, inputs::SALT_PLAN + (phase << 8));
-    let total = (rate * (spec.warmup + window).as_secs_f64()).round() as usize;
-    let stats_every = ((rate / STATS_PER_S) as usize).max(1);
-    let zipf = inputs::zipf_cdf(spec.datasets);
-    let plan: Vec<u32> = (0..total)
-        .map(|i| {
-            if i % stats_every == stats_every - 1 {
-                inputs.stats_body()
-            } else {
-                let dataset = inputs::draw(&zipf, &mut rng);
-                let batch = rng.below(spec.batches());
-                let count = rng.unit() < 0.5;
-                inputs.read_body(dataset, batch, count)
-            }
-        })
-        .collect();
-    let mut replies = Replies {
-        inputs,
-        plan: &plan,
-        status: vec![failure_code(Failure::NoReply); total],
-        wrong: Vec::new(),
-        stats: Vec::new(),
-    };
-    // The warm-up, then segments of `windows_per_segment` windows, each
-    // segment on a fresh connection with fresh load threads: where the host
-    // happens to place those threads persists for a connection's lifetime,
-    // so re-rolling it per segment and taking the median over windows keeps
-    // one placement from setting a run.
-    let split = spec.windows_per_segment;
-    let segment = spec.window * split as u32;
-    let segments = ((window.as_secs_f64() / segment.as_secs_f64()).round() as usize).max(1);
-    let per_segment = ((rate * segment.as_secs_f64()).round() as usize).max(1);
-    let warm = total.saturating_sub(segments * per_segment);
-    let mut bounds = vec![0, warm];
-    bounds.extend((1..=segments).map(|k| (warm + k * per_segment).min(total)));
-    let window_ns = spec.window.as_nanos() as u64;
-    let mut m = Measurement::with_windows(segments * split, 0.0);
-    let trace_stride = (total / TRACED_REQUESTS).max(1);
-    let mut tracer = tracer;
-    for (seg, range) in bounds.windows(2).map(|b| b[0]..b[1]).enumerate() {
-        if range.is_empty() {
-            continue;
-        }
-        let out = drive::open_loop(
-            dep.entry,
-            rate,
-            &plan[range.clone()],
-            range.start,
-            &inputs.bodies,
-            tracer.is_some(),
-            |id, body| replies.on_reply(id, body),
-        )?;
-        if seg == 0 {
-            continue; // warm-up
-        }
-        let mut last_reply = 0;
-        for i in 0..out.sent {
-            let id = range.start + i;
-            let op = inputs.ops[plan[id] as usize];
-            if op == Op::Stats {
-                continue;
-            }
-            let due = out.due_ns(i);
-            let recv = out.recv_ns[i];
-            let w = (seg - 1) * split + ((due / window_ns) as usize).min(split - 1);
-            m.windows[w].lag.push(out.lag_ns[i] as f64 / 1e3);
-            let latency = if recv == NO_REPLY {
-                f64::NAN
-            } else {
-                last_reply = last_reply.max(recv);
-                recv.saturating_sub(due) as f64 / 1e3
-            };
-            m.note(w, op, replies.status[id], latency, spec.batch);
-            if let Some(t) = tracer.as_deref_mut() {
-                if recv != NO_REPLY && id % trace_stride == 0 {
-                    let at = |ns: u64| out.t0 + Duration::from_nanos(ns);
-                    let (send_start, send_end) = out.send_ns[i];
-                    let checked = out.checked_ns[i];
-                    let root = t.record(op_span(op), id as u64, None, at(due), at(checked));
-                    t.record("gen.lag", id as u64, Some(root), at(due), at(send_start));
-                    t.record(
-                        "client.send",
-                        id as u64,
-                        Some(root),
-                        at(send_start),
-                        at(send_end),
-                    );
-                    t.record("server.wait", id as u64, Some(root), at(send_end), at(recv));
-                    t.record("client.check", id as u64, Some(root), at(recv), at(checked));
-                }
-            }
-        }
-        // The measured span of a window ends with its last reply.
-        m.window_s += last_reply as f64 / 1e9;
-    }
-    // Requests sent before the window are not measured, but must still be
-    // answered correctly.
-    m.wrong = replies.wrong;
-    m.stats = replies.stats;
-    m.probes_per_s = m.probes_ok as f64 / m.window_s;
-    Ok(m)
 }
 
 fn op_span(op: Op) -> &'static str {
@@ -655,10 +449,13 @@ fn op_span(op: Op) -> &'static str {
     }
 }
 
-fn measure_closed(
+/// Runs one measured phase (the warm-up, then `window`) against `dep`:
+/// [`CLIENTS`] blocking clients, each timing every request from its own
+/// send to its reply.  With a tracer, measured requests also leave their
+/// spans.
+pub fn measure(
     inputs: &Inputs,
     dep: &Deployment,
-    clients: usize,
     phase: u64,
     window: Duration,
     tracer: Option<&mut Tracer>,
@@ -666,7 +463,7 @@ fn measure_closed(
     let spec = &inputs.spec;
     let mut rng = Rng::derive(inputs.seed, inputs::SALT_PLAN + (phase << 8));
     let zipf = inputs::zipf_cdf(spec.datasets);
-    let schedule: Vec<Vec<u32>> = (0..clients)
+    let schedule: Vec<Vec<u32>> = (0..CLIENTS)
         .map(|_| {
             (0..4096)
                 .map(|j| {
@@ -682,61 +479,63 @@ fn measure_closed(
         inputs.stats_body(),
         Duration::from_secs_f64(1.0 / STATS_PER_S),
     ));
+    let on_reply = |b: u32, reply: &[u8]| {
+        if inputs.ops[b as usize] == Op::Stats {
+            if let Ok(Response::Stats(report)) = Response::decode(reply) {
+                sampled.lock().expect("stats samples").push(report);
+            }
+            return OK;
+        }
+        match check::classify(reply, &inputs.expected[b as usize]) {
+            Verdict::Correct => OK,
+            Verdict::Failed(f) => failure_code(f),
+            Verdict::Wrong(why) => {
+                wrong.lock().expect("wrong-answer log").push(why);
+                WRONG
+            }
+        }
+    };
     let (t0, recs) = drive::closed_loop(
         dep.entry,
         &schedule,
         &inputs.bodies,
         spec.warmup + window,
         monitor,
-        |b, reply| {
-            if inputs.ops[b as usize] == Op::Stats {
-                if let Ok(Response::Stats(report)) = Response::decode(reply) {
-                    sampled.lock().expect("stats samples").push(report);
-                }
-                return OK;
-            }
-            match check::classify(reply, &inputs.expected[b as usize]) {
-                Verdict::Correct => OK,
-                Verdict::Failed(f) => failure_code(f),
-                Verdict::Wrong(why) => {
-                    wrong.lock().expect("wrong-answer log").push(why);
-                    WRONG
-                }
-            }
-        },
+        on_reply,
     )?;
-    let count = if spec.window.is_zero() {
-        1
-    } else {
-        ((window.as_secs_f64() / spec.window.as_secs_f64()).round() as usize).max(1)
+    let mut m = Measurement {
+        wrong: wrong.into_inner().expect("wrong-answer log"),
+        stats: sampled.into_inner().expect("stats samples"),
+        ..Measurement::default()
     };
-    let window_ns = (window.as_nanos() as u64 / count as u64).max(1);
-    let mut m = Measurement::with_windows(count, window.as_secs_f64());
-    m.wrong = wrong.into_inner().expect("wrong-answer log");
-    m.stats = sampled.into_inner().expect("stats samples");
+    // Requests sent after the warm-up are measured, windowed in reply order;
+    // a last, short chunk joins the window before it.
     let warm_ns = spec.warmup.as_nanos() as u64;
-    let end_ns = (spec.warmup + window).as_nanos() as u64;
-    // A request belongs to the window its reply arrived in.
-    let window_of = |recv_ns: u64| (recv_ns.saturating_sub(warm_ns) / window_ns) as usize;
+    let mut measured: Vec<&drive::ClosedRec> = recs
+        .iter()
+        .flatten()
+        .filter(|r| r.send_ns >= warm_ns)
+        .collect();
+    measured.sort_by_key(|r| r.recv_ns);
+    let per_window = match spec.window_requests {
+        0 => measured.len().max(1),
+        n => n,
+    };
+    let count = (measured.len() / per_window).max(1);
+    m.windows = (0..count).map(|_| Window::default()).collect();
+    let mut ends = vec![warm_ns; count];
+    let trace_stride = (measured.len() / TRACED_REQUESTS).max(1);
     let mut tracer = tracer;
-    let trace_stride = (recs.iter().map(Vec::len).sum::<usize>() / TRACED_REQUESTS).max(1);
-    for (id, rec) in recs.iter().flatten().enumerate() {
+    for (id, rec) in measured.iter().enumerate() {
+        let w = (id / per_window).min(count - 1);
         let op = inputs.ops[rec.body as usize];
-        if rec.recv_ns >= warm_ns && rec.recv_ns <= end_ns && rec.status == OK {
+        if rec.status == OK {
             m.probes_ok += spec.batch as u64;
-            m.windows[window_of(rec.recv_ns).min(count - 1)].probes += spec.batch as u64;
+            m.windows[w].probes += spec.batch as u64;
         }
-        if rec.send_ns < warm_ns {
-            continue;
-        }
+        ends[w] = rec.recv_ns;
         let latency = (rec.recv_ns - rec.send_ns) as f64 / 1e3;
-        m.note(
-            window_of(rec.recv_ns).min(count - 1),
-            op,
-            rec.status,
-            latency,
-            0,
-        );
+        m.note(w, op, rec.status, latency);
         if let Some(t) = tracer.as_deref_mut().filter(|_| id % trace_stride == 0) {
             let id = id as u64;
             let at = |ns: u64| t0 + Duration::from_nanos(ns);
@@ -757,11 +556,18 @@ fn measure_closed(
             );
         }
     }
+    // A window lasts from the previous window's last reply to its own.
     let rates: Vec<f64> = m
         .windows
         .iter()
-        .map(|w| w.probes as f64 * 1e9 / window_ns as f64)
+        .zip(&ends)
+        .scan(warm_ns, |start, (w, &end)| {
+            let ns = end.saturating_sub(*start).max(1);
+            *start = end;
+            Some(w.probes as f64 * 1e9 / ns as f64)
+        })
         .collect();
+    m.window_s = ends[count - 1].saturating_sub(warm_ns) as f64 / 1e9;
     m.probes_per_s = stats::median(&rates);
     Ok(m)
 }
