@@ -20,8 +20,7 @@ use eclipse_bench::workloads::{
 };
 use eclipse_core::exec::ExecutionContext;
 use eclipse_core::index::{EclipseIndex, IndexConfig, IntersectionIndexKind, ProbeScratch};
-use eclipse_geom::cutting::{CuttingTree, CuttingTreeConfig};
-use eclipse_geom::quadtree::{HyperplaneQuadtree, QuadtreeConfig};
+use eclipse_geom::arena::ArenaTree;
 use eclipse_geom::traverse::TraversalScratch;
 
 const SEED: u64 = 20210614;
@@ -39,29 +38,30 @@ fn bench_tree_probes(c: &mut Criterion) {
             group.warm_up_time(std::time::Duration::from_millis(200));
             group.measurement_time(std::time::Duration::from_millis(1200));
 
-            let quad =
-                HyperplaneQuadtree::build(&planes, probe_root_cell(K), QuadtreeConfig::default());
             let mut scratch = TraversalScratch::new();
             let mut out = Vec::new();
-            group.bench_function(BenchmarkId::new("QUAD", "single"), |b| {
-                b.iter(|| {
-                    for q in &probes {
-                        quad.query_into(q.lo(), q.hi(), &mut scratch, &mut out);
-                        black_box(out.len());
-                    }
-                })
-            });
-
-            let cutting =
-                CuttingTree::build(&planes, probe_root_cell(K), CuttingTreeConfig::default());
-            group.bench_function(BenchmarkId::new("CUTTING", "single"), |b| {
-                b.iter(|| {
-                    for q in &probes {
-                        cutting.query_into(q.lo(), q.hi(), &mut scratch, &mut out);
-                        black_box(out.len());
-                    }
-                })
-            });
+            for kind in [
+                IntersectionIndexKind::Quadtree,
+                IntersectionIndexKind::CuttingTree,
+            ] {
+                let tree = ArenaTree::build(
+                    &planes,
+                    probe_root_cell(K),
+                    IndexConfig::with_kind(kind).policy(),
+                );
+                let label = match kind {
+                    IntersectionIndexKind::Quadtree => "QUAD",
+                    IntersectionIndexKind::CuttingTree => "CUTTING",
+                };
+                group.bench_function(BenchmarkId::new(label, "single"), |b| {
+                    b.iter(|| {
+                        for q in &probes {
+                            tree.query_into(q.lo(), q.hi(), &mut scratch, &mut out);
+                            black_box(out.len());
+                        }
+                    })
+                });
+            }
             group.finish();
         }
     }

@@ -34,9 +34,10 @@ use eclipse_data::io::ResultTable;
 use eclipse_data::survey::{run_survey, SurveyConfig, SurveySystem};
 use eclipse_data::synthetic::{Distribution, SyntheticConfig};
 use eclipse_exec::ThreadPool;
-use eclipse_geom::cutting::{CutRule, CuttingTree, CuttingTreeConfig};
+use eclipse_geom::arena::ArenaTree;
+use eclipse_geom::cutting::{CutRule, CuttingTreeConfig};
 use eclipse_geom::hyperplane::HyperplaneSlab;
-use eclipse_geom::quadtree::{HyperplaneQuadtree, QuadtreeConfig, SplitRule};
+use eclipse_geom::quadtree::{QuadtreeConfig, SplitRule};
 use eclipse_serve::client::{Client, PipelinedClient};
 use eclipse_serve::protocol::IndexKind;
 use eclipse_serve::server::Server;
@@ -1287,20 +1288,6 @@ fn build_sweep(opts: &Options) -> Vec<(String, (String, ResultTable))> {
     let reps = if opts.quick { 2 } else { 5 };
     let host_threads = std::thread::available_parallelism().map_or(1, |p| p.get());
 
-    enum Tree {
-        Quad(HyperplaneQuadtree),
-        Cutting(CuttingTree),
-    }
-    impl Tree {
-        fn encode(&self) -> Vec<u8> {
-            let mut bytes = Vec::new();
-            match self {
-                Tree::Quad(t) => t.encode_into(&mut bytes),
-                Tree::Cutting(t) => t.encode_into(&mut bytes),
-            }
-            bytes
-        }
-    }
     // Minimum wall-clock over `reps` full builds (slab + tree) on `pool`,
     // plus the snapshot bytes of the last build for the identity check.
     let timed_build = |kind: IntersectionIndexKind,
@@ -1313,28 +1300,19 @@ fn build_sweep(opts: &Options) -> Vec<(String, (String, ResultTable))> {
         let mut tree = None;
         for _ in 0..reps {
             let start = std::time::Instant::now();
-            let built = match kind {
-                IntersectionIndexKind::Quadtree => {
-                    Tree::Quad(HyperplaneQuadtree::build_from_slab_with(
-                        HyperplaneSlab::from_hyperplanes(planes),
-                        cell.clone(),
-                        QuadtreeConfig::default(),
-                        Some(pool),
-                    ))
-                }
-                IntersectionIndexKind::CuttingTree => {
-                    Tree::Cutting(CuttingTree::build_from_slab_with(
-                        HyperplaneSlab::from_hyperplanes(planes),
-                        cell.clone(),
-                        CuttingTreeConfig::default(),
-                        Some(pool),
-                    ))
-                }
-            };
+            let built = ArenaTree::build_from_slab_with(
+                HyperplaneSlab::from_hyperplanes(planes),
+                cell.clone(),
+                IndexConfig::with_kind(kind).policy(),
+                Some(pool),
+            );
             best = best.min(start.elapsed().as_secs_f64());
             tree = Some(built);
         }
-        (best, tree.expect("at least one build pass").encode())
+        let mut bytes = Vec::new();
+        tree.expect("at least one build pass")
+            .encode_into(&mut bytes);
+        (best, bytes)
     };
 
     let mut build_table = ResultTable::new(&[
@@ -1423,20 +1401,23 @@ fn build_sweep(opts: &Options) -> Vec<(String, (String, ResultTable))> {
 
                 // Probe latency with the adaptive defaults vs the legacy
                 // fixed rules, against the frozen pre-arena baseline.
+                let legacy_rules = IndexConfig {
+                    quadtree: QuadtreeConfig {
+                        split: SplitRule::Midpoint,
+                        ..QuadtreeConfig::default()
+                    },
+                    cutting: CuttingTreeConfig {
+                        cut: CutRule::SampledCrossings,
+                        ..CuttingTreeConfig::default()
+                    },
+                    ..IndexConfig::with_kind(kind)
+                };
                 let legacy = run_tree_probes_configured(
-                    kind,
                     &planes,
                     probe_root_cell(2),
                     &tree_probes,
                     reps,
-                    QuadtreeConfig {
-                        split: SplitRule::Midpoint,
-                        ..QuadtreeConfig::default()
-                    },
-                    CuttingTreeConfig {
-                        cut: CutRule::SampledCrossings,
-                        ..CuttingTreeConfig::default()
-                    },
+                    legacy_rules.policy(),
                 );
                 let adaptive =
                     run_tree_probes(kind, &planes, probe_root_cell(2), &tree_probes, reps);

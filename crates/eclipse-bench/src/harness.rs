@@ -16,9 +16,8 @@ use eclipse_core::index::{EclipseIndex, IndexConfig, IntersectionIndexKind, Prob
 use eclipse_core::point::{BoundingBox, Point};
 use eclipse_core::weights::WeightRatioBox;
 use eclipse_exec::ThreadPool;
-use eclipse_geom::cutting::{CuttingTree, CuttingTreeConfig};
+use eclipse_geom::arena::{ArenaTree, SplitPolicy};
 use eclipse_geom::hyperplane::Hyperplane;
-use eclipse_geom::quadtree::{HyperplaneQuadtree, QuadtreeConfig};
 use eclipse_geom::traverse::TraversalScratch;
 use eclipse_skyline::exec::{
     ParallelBnl, ParallelDc, ParallelSfs, SerialBnl, SerialDc, SerialSfs, SkylineExecutor,
@@ -282,48 +281,30 @@ pub fn run_tree_probes(
     repetitions: usize,
 ) -> TreeProbeMeasurement {
     run_tree_probes_configured(
-        kind,
         planes,
         cell,
         probes,
         repetitions,
-        QuadtreeConfig::default(),
-        CuttingTreeConfig::default(),
+        IndexConfig::with_kind(kind).policy(),
     )
 }
 
-/// [`run_tree_probes`] with explicit tree configs, so sweeps can compare
+/// [`run_tree_probes`] with an explicit split policy, so sweeps can compare
 /// split/cut strategies (e.g. the legacy midpoint rules vs the adaptive
 /// defaults) on the same workload.
 pub fn run_tree_probes_configured(
-    kind: IntersectionIndexKind,
     planes: &[Hyperplane],
     cell: BoundingBox,
     probes: &[BoundingBox],
     repetitions: usize,
-    quad_config: QuadtreeConfig,
-    cutting_config: CuttingTreeConfig,
+    policy: SplitPolicy,
 ) -> TreeProbeMeasurement {
     assert!(repetitions > 0, "repetitions must be positive");
     assert!(!probes.is_empty(), "probe set must be non-empty");
-    enum Tree {
-        Quad(HyperplaneQuadtree),
-        Cutting(CuttingTree),
-    }
     let build_start = Instant::now();
-    let tree = match kind {
-        IntersectionIndexKind::Quadtree => {
-            Tree::Quad(HyperplaneQuadtree::build(planes, cell, quad_config))
-        }
-        IntersectionIndexKind::CuttingTree => {
-            Tree::Cutting(CuttingTree::build(planes, cell, cutting_config))
-        }
-    };
+    let tree = ArenaTree::build(planes, cell, policy);
     let build_secs = build_start.elapsed().as_secs_f64();
-    let (nodes, depth) = match &tree {
-        Tree::Quad(t) => (t.node_count(), t.depth()),
-        Tree::Cutting(t) => (t.node_count(), t.depth()),
-    };
+    let (nodes, depth) = (tree.node_count(), tree.depth());
     let mut scratch = TraversalScratch::new();
     let mut out = Vec::new();
     let mut hits = 0usize;
@@ -332,10 +313,7 @@ pub fn run_tree_probes_configured(
         hits = 0;
         let start = Instant::now();
         for b in probes {
-            match &tree {
-                Tree::Quad(t) => t.query_into(b.lo(), b.hi(), &mut scratch, &mut out),
-                Tree::Cutting(t) => t.query_into(b.lo(), b.hi(), &mut scratch, &mut out),
-            }
+            tree.query_into(b.lo(), b.hi(), &mut scratch, &mut out);
             hits += out.len();
         }
         best_pass = best_pass.min(start.elapsed().as_secs_f64());

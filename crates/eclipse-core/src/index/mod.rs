@@ -8,9 +8,10 @@
 //! 2. the *intersection hyperplanes* — for every pair of skyline points the
 //!    locus in weight-ratio space where their scores are equal, and
 //! 3. a spatial index over those hyperplanes (the **Intersection Index**):
-//!    either a line quadtree / hyperplane octree ([`eclipse_geom::quadtree`],
-//!    the paper's QUAD) or a cutting tree ([`eclipse_geom::cutting`], the
-//!    paper's CUTTING),
+//!    one arena tree ([`eclipse_geom::arena::ArenaTree`]) whose split policy
+//!    makes it either a line quadtree / hyperplane octree
+//!    ([`eclipse_geom::quadtree`], the paper's QUAD) or a cutting tree
+//!    ([`eclipse_geom::cutting`], the paper's CUTTING),
 //!
 //! so that a query only has to (a) rank the skyline points at one corner of
 //! the query box (the **Order Vector**), (b) fetch the intersection

@@ -8,8 +8,9 @@
 //!    (`f(r) = Σ_j (a[j] − b[j])·r_j + (a[d] − b[d])`, see
 //!    [`eclipse_geom::dual::score_difference_hyperplane`]) — assembled
 //!    directly into a [`HyperplaneSlab`] of dense coefficient rows;
-//! 3. index those hyperplanes with a line quadtree (QUAD) or a cutting tree
-//!    (CUTTING) over a bounded region of ratio space.
+//! 3. index those hyperplanes with an [`ArenaTree`] over a bounded region of
+//!    ratio space, split as a line quadtree (QUAD) or a cutting tree
+//!    (CUTTING).
 //!
 //! Query phase (Algorithms 5/7):
 //! 1. score all skyline points at the lower corner of the query box and rank
@@ -38,10 +39,11 @@ use eclipse_persist::{enc, Cursor, PersistError, SnapshotReader, SnapshotWriter}
 use serde::{Deserialize, Serialize};
 
 use eclipse_geom::approx::EPS;
-use eclipse_geom::cutting::{CutRule, CuttingTree, CuttingTreeConfig};
+use eclipse_geom::arena::{ArenaTree, SplitPolicy};
+use eclipse_geom::cutting::{CutRule, CuttingTreeConfig};
 use eclipse_geom::hyperplane::HyperplaneSlab;
 use eclipse_geom::point::{BoundingBox, Point};
-use eclipse_geom::quadtree::{HyperplaneQuadtree, QuadtreeConfig, SplitRule};
+use eclipse_geom::quadtree::{QuadtreeConfig, SplitRule};
 use eclipse_geom::traverse::TraversalScratch;
 
 use crate::error::{EclipseError, Result};
@@ -94,12 +96,15 @@ impl IndexConfig {
             ..IndexConfig::default()
         }
     }
-}
 
-#[derive(Clone, Debug)]
-enum Backend {
-    Quad(HyperplaneQuadtree),
-    Cutting(CuttingTree),
+    /// The split policy of the selected kind, carrying that kind's tree
+    /// parameters.
+    pub fn policy(&self) -> SplitPolicy {
+        match self.kind {
+            IntersectionIndexKind::Quadtree => SplitPolicy::Quad(self.quadtree),
+            IntersectionIndexKind::CuttingTree => SplitPolicy::Cutting(self.cutting),
+        }
+    }
 }
 
 // --- snapshot format --------------------------------------------------------
@@ -117,16 +122,17 @@ pub const SECTION_INDEX_CONFIG: u8 = 0x02;
 /// Snapshot section: skyline ids (into the original dataset) and the flat
 /// skyline coordinate buffer.
 pub const SECTION_SKYLINE: u8 = 0x03;
-/// Snapshot section: the backend tree arena (kind tag + tree payload).
+/// Snapshot section: the backend tree arena (policy kind tag + tree payload).
 pub const SECTION_BACKEND: u8 = 0x04;
 /// Snapshot section: dataset label, dimensionality and row-major coordinates
 /// (written by [`crate::query::EclipseEngine`]-level snapshots only).
 pub const SECTION_DATASET: u8 = 0x05;
 
-/// Wire tag of the quadtree backend inside [`SECTION_BACKEND`].
-const BACKEND_TAG_QUAD: u8 = 0;
-/// Wire tag of the cutting-tree backend inside [`SECTION_BACKEND`].
-const BACKEND_TAG_CUTTING: u8 = 1;
+/// Wire tag of the quadtree kind inside [`SECTION_INDEX_CONFIG`] (the same
+/// value [`SplitPolicy::kind_tag`] writes into [`SECTION_BACKEND`]).
+const KIND_TAG_QUAD: u8 = 0;
+/// Wire tag of the cutting-tree kind inside [`SECTION_INDEX_CONFIG`].
+const KIND_TAG_CUTTING: u8 = 1;
 
 /// Shorthand for a structural snapshot defect found by cross-validation.
 fn snapshot_err(reason: impl Into<String>) -> EclipseError {
@@ -183,9 +189,9 @@ pub struct EclipseIndex {
     /// hyperplane construction (the dataset points are never cloned).
     skyline_coords: Box<[f64]>,
     /// Pairs of *local* skyline indices, aligned with the hyperplane slab
-    /// owned by the backend tree.
+    /// owned by the tree.
     pairs: Vec<(u32, u32)>,
-    backend: Backend,
+    tree: ArenaTree,
     root_cell: BoundingBox,
     config: IndexConfig,
 }
@@ -323,35 +329,23 @@ impl EclipseIndex {
         }
 
         // 3. Spatial index over the hyperplanes (the tree takes ownership of
-        // the slab; the replay phase reads it back through the backend).
-        // The same pool handle that ran phases 1–2 drives the level-parallel
-        // tree builders; their output is byte-identical to a serial build.
+        // the slab; the replay phase reads it back through the tree).  The
+        // same pool handle that ran phases 1–2 drives the level-parallel
+        // tree builder; its output is byte-identical to a serial build.
         let root_cell = BoundingBox::new(vec![0.0; k], vec![config.max_ratio; k]);
-        let backend = match config.kind {
-            IntersectionIndexKind::Quadtree => {
-                Backend::Quad(HyperplaneQuadtree::build_from_slab_with(
-                    slab,
-                    root_cell.clone(),
-                    config.quadtree,
-                    Some(ctx.pool()),
-                ))
-            }
-            IntersectionIndexKind::CuttingTree => {
-                Backend::Cutting(CuttingTree::build_from_slab_with(
-                    slab,
-                    root_cell.clone(),
-                    config.cutting,
-                    Some(ctx.pool()),
-                ))
-            }
-        };
+        let tree = ArenaTree::build_from_slab_with(
+            slab,
+            root_cell.clone(),
+            config.policy(),
+            Some(ctx.pool()),
+        );
 
         Ok(EclipseIndex {
             dim,
             skyline_ids,
             skyline_coords,
             pairs,
-            backend,
+            tree,
             root_cell,
             config,
         })
@@ -403,43 +397,30 @@ impl EclipseIndex {
 
     /// Diagnostic: depth of the underlying spatial structure.
     pub fn backend_depth(&self) -> usize {
-        match &self.backend {
-            Backend::Quad(t) => t.depth(),
-            Backend::Cutting(t) => t.depth(),
-        }
+        self.tree.depth()
     }
 
     /// Heap bytes owned by the index: the skyline id/coordinate buffers, the
-    /// pair list, the root cell's corners and the whole backend arena
+    /// pair list, the root cell's corners and the whole tree arena
     /// (hyperplane slab, nodes, cells, entries).  Buffers with spare
     /// capacity are counted at capacity; allocator headers and the inline
     /// struct itself are not included.
     pub fn heap_bytes(&self) -> usize {
-        let backend = match &self.backend {
-            Backend::Quad(t) => t.heap_bytes(),
-            Backend::Cutting(t) => t.heap_bytes(),
-        };
         self.skyline_ids.capacity() * std::mem::size_of::<usize>()
             + self.skyline_coords.len() * std::mem::size_of::<f64>()
             + self.pairs.capacity() * std::mem::size_of::<(u32, u32)>()
             + self.root_cell.heap_bytes()
-            + backend
+            + self.tree.heap_bytes()
     }
 
     /// Diagnostic: node count of the underlying spatial structure.
     pub fn backend_nodes(&self) -> usize {
-        match &self.backend {
-            Backend::Quad(t) => t.node_count(),
-            Backend::Cutting(t) => t.node_count(),
-        }
+        self.tree.node_count()
     }
 
-    /// The intersection-hyperplane rows, owned by the backend tree.
+    /// The intersection-hyperplane rows, owned by the tree.
     fn slab(&self) -> &HyperplaneSlab {
-        match &self.backend {
-            Backend::Quad(t) => t.slab(),
-            Backend::Cutting(t) => t.slab(),
-        }
+        self.tree.slab()
     }
 
     /// Answers an eclipse query, returning indices into the original dataset
@@ -619,7 +600,7 @@ impl EclipseIndex {
 
     /// Diagnostic: the number of indexed intersection hyperplanes crossing
     /// `ratio_box` — the candidate-set size a probe of that box replays.
-    /// Uses the backend trees' count-only traversal (contained cells are
+    /// Uses the tree's count-only traversal (contained cells are
     /// popcounted straight from their subtree entry list) when the box lies
     /// inside the indexed region, and an exact linear scan otherwise.
     ///
@@ -638,10 +619,7 @@ impl EclipseIndex {
             .all(|((rl, rh), (ql, qh))| rl <= ql && rh >= qh);
         if contained {
             let mut traversal = TraversalScratch::new();
-            Ok(match &self.backend {
-                Backend::Quad(t) => t.count_in_box(&qlo, &qhi, &mut traversal),
-                Backend::Cutting(t) => t.count_in_box(&qlo, &qhi, &mut traversal),
-            })
+            Ok(self.tree.count_in_box(&qlo, &qhi, &mut traversal))
         } else {
             let slab = self.slab();
             Ok((0..slab.len())
@@ -661,13 +639,7 @@ impl EclipseIndex {
         writer.section(SECTION_INDEX_META, meta);
 
         let mut config = Vec::new();
-        enc::put_u8(
-            &mut config,
-            match self.config.kind {
-                IntersectionIndexKind::Quadtree => BACKEND_TAG_QUAD,
-                IntersectionIndexKind::CuttingTree => BACKEND_TAG_CUTTING,
-            },
-        );
+        enc::put_u8(&mut config, self.config.policy().kind_tag());
         enc::put_f64(&mut config, self.config.max_ratio);
         enc::put_usize(&mut config, self.config.quadtree.max_capacity);
         enc::put_usize(&mut config, self.config.quadtree.max_depth);
@@ -696,16 +668,8 @@ impl EclipseIndex {
         writer.section(SECTION_SKYLINE, skyline);
 
         let mut backend = Vec::new();
-        match &self.backend {
-            Backend::Quad(t) => {
-                enc::put_u8(&mut backend, BACKEND_TAG_QUAD);
-                t.encode_into(&mut backend);
-            }
-            Backend::Cutting(t) => {
-                enc::put_u8(&mut backend, BACKEND_TAG_CUTTING);
-                t.encode_into(&mut backend);
-            }
-        }
+        enc::put_u8(&mut backend, self.tree.policy().kind_tag());
+        self.tree.encode_into(&mut backend);
         writer.section(SECTION_BACKEND, backend);
     }
 
@@ -748,8 +712,8 @@ impl EclipseIndex {
 
         let mut cfg = Cursor::new(reader.section(SECTION_INDEX_CONFIG)?);
         let kind = match cfg.u8()? {
-            BACKEND_TAG_QUAD => IntersectionIndexKind::Quadtree,
-            BACKEND_TAG_CUTTING => IntersectionIndexKind::CuttingTree,
+            KIND_TAG_QUAD => IntersectionIndexKind::Quadtree,
+            KIND_TAG_CUTTING => IntersectionIndexKind::CuttingTree,
             tag => {
                 return Err(PersistError::UnknownTag {
                     context: "index kind",
@@ -817,40 +781,17 @@ impl EclipseIndex {
         sky.finish()?;
 
         let mut be = Cursor::new(reader.section(SECTION_BACKEND)?);
-        let backend_tag = be.u8()?;
-        let backend = match backend_tag {
-            BACKEND_TAG_QUAD => Backend::Quad(HyperplaneQuadtree::decode_versioned(
-                &mut be,
-                reader.version(),
-            )?),
-            BACKEND_TAG_CUTTING => {
-                Backend::Cutting(CuttingTree::decode_versioned(&mut be, reader.version())?)
-            }
-            tag => {
-                return Err(PersistError::UnknownTag {
-                    context: "backend tree",
-                    tag,
-                }
-                .into())
-            }
-        };
+        let kind_tag = be.u8()?;
+        let tree = ArenaTree::decode_versioned(&mut be, reader.version(), kind_tag)?;
         be.finish()?;
-        let tag_kind = match backend_tag {
-            BACKEND_TAG_QUAD => IntersectionIndexKind::Quadtree,
-            _ => IntersectionIndexKind::CuttingTree,
-        };
-        if tag_kind != config.kind {
-            return Err(snapshot_err(format!(
-                "backend tree kind {tag_kind:?} disagrees with the config kind {:?}",
-                config.kind
-            )));
+        if tree.policy() != config.policy() {
+            return Err(snapshot_err(
+                "backend tree kind or parameters disagree with the index config".to_string(),
+            ));
         }
 
         let k = dim - 1;
-        let (slab, tree_root) = match &backend {
-            Backend::Quad(t) => (t.slab(), t.root_cell()),
-            Backend::Cutting(t) => (t.slab(), t.root_cell()),
-        };
+        let slab = tree.slab();
         if slab.dim() != k {
             return Err(snapshot_err(format!(
                 "backend slab dimensionality {} does not match the {k}-dimensional ratio space",
@@ -864,26 +805,10 @@ impl EclipseIndex {
             )));
         }
         let root_cell = BoundingBox::new(vec![0.0; k], vec![max_ratio; k]);
-        if *tree_root != root_cell {
+        if *tree.root_cell() != root_cell {
             return Err(snapshot_err(
                 "backend root cell does not match the configured indexed region".to_string(),
             ));
-        }
-        match &backend {
-            Backend::Quad(t) => {
-                if t.config() != config.quadtree {
-                    return Err(snapshot_err(
-                        "backend tree config disagrees with the index config".to_string(),
-                    ));
-                }
-            }
-            Backend::Cutting(t) => {
-                if t.config() != config.cutting {
-                    return Err(snapshot_err(
-                        "backend tree config disagrees with the index config".to_string(),
-                    ));
-                }
-            }
         }
 
         // The pair table is fully determined by the skyline size: pairs are
@@ -901,7 +826,7 @@ impl EclipseIndex {
             skyline_ids,
             skyline_coords,
             pairs,
-            backend,
+            tree,
             root_cell,
             config,
         })
@@ -1020,10 +945,7 @@ impl EclipseIndex {
             .zip(qlo.iter().zip(qhi.iter()))
             .all(|((rl, rh), (ql, qh))| rl <= ql && rh >= qh);
         if contained {
-            match &self.backend {
-                Backend::Quad(t) => t.query_into(qlo, qhi, traversal, candidates),
-                Backend::Cutting(t) => t.query_into(qlo, qhi, traversal, candidates),
-            }
+            self.tree.query_into(qlo, qhi, traversal, candidates);
         } else {
             // Exact fallback for queries escaping the indexed region — a
             // linear scan over the slab rows, reusing the candidate buffer.

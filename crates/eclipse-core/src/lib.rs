@@ -15,9 +15,10 @@
 //!   [`algo::transform`] (Algs. 2–3),
 //! * [`index`] — the index-based algorithms of §IV: the 2-D dual-space Order
 //!   Vector Index ([`index::dual2d`]) and the d-dimensional Intersection
-//!   Index ([`index::ndim`]) with line-quadtree
-//!   ([`eclipse_geom::quadtree`]) and cutting-tree
-//!   ([`eclipse_geom::cutting`]) backends,
+//!   Index ([`index::ndim`]) over one arena tree
+//!   ([`eclipse_geom::arena::ArenaTree`]) split as a line quadtree
+//!   ([`eclipse_geom::quadtree`]) or a cutting tree
+//!   ([`eclipse_geom::cutting`]),
 //! * [`prefs`] — user-facing preference specifications (exact weights,
 //!   ratio ranges, weight ranges, categorical importance levels),
 //! * [`relations`] — relationships between eclipse, 1NN, convex hull and

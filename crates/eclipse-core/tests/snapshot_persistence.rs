@@ -8,7 +8,9 @@
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
-use eclipse_core::index::{EclipseIndex, IndexConfig, IntersectionIndexKind, SECTION_SKYLINE};
+use eclipse_core::index::{
+    EclipseIndex, IndexConfig, IntersectionIndexKind, SECTION_BACKEND, SECTION_SKYLINE,
+};
 use eclipse_core::{EclipseEngine, EclipseError, Point, WeightRatioBox};
 use eclipse_persist::{enc, SnapshotReader, SnapshotWriter};
 
@@ -255,4 +257,61 @@ fn edge_float_datasets_round_trip_bit_exactly() {
     // And the restored engine still answers (degenerate rows included).
     let b = WeightRatioBox::uniform(2, 0.25, 2.0).unwrap();
     assert_eq!(cold.eclipse(&b).unwrap(), engine.eclipse(&b).unwrap());
+}
+
+/// A cutting-tree snapshot whose root cut is moved, with valid framing and
+/// checksums, must be rejected.  Nothing else in the payload changes, so the
+/// children's cells still describe the original cut; a decoder that trusted
+/// the stored coordinate would prune the high child and miss its hits.
+#[test]
+fn moved_cutting_root_cut_is_rejected() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(2718);
+    let pts: Vec<Point> = (0..300)
+        .map(|_| Point::new((0..3).map(|_| rng.gen_range(0.0..1.0)).collect()))
+        .collect();
+    let idx = EclipseIndex::build(
+        &pts,
+        IndexConfig::with_kind(IntersectionIndexKind::CuttingTree),
+    )
+    .unwrap();
+    let bytes = idx.encode_snapshot();
+    let reader = SnapshotReader::parse(&bytes).unwrap();
+    let mut backend = reader.section(SECTION_BACKEND).unwrap().to_vec();
+
+    // Offset of the root node record: kind tag, cutting config (five
+    // usizes, seed, rule tag), root cell (dim + 2k corners), reached depth,
+    // slab (dim, row count, k coefficients and an offset per row), node
+    // count.  The record starts with the cut axis, then the coordinate.
+    let k = 2;
+    let rows = idx.num_intersections();
+    let root = 1 + (5 * 8 + 8 + 1) + (4 + 16 * k) + 8 + (4 + 8 + 8 * (k + 1) * rows) + 8;
+    let axis = u32::from_le_bytes(backend[root..root + 4].try_into().unwrap()) as usize;
+    let at = f64::from_le_bytes(backend[root + 4..root + 12].try_into().unwrap());
+    let max_ratio = idx.config().max_ratio;
+    assert!(axis < k && at > 0.0 && at < max_ratio, "root is a cut");
+    backend[root + 4..root + 12].copy_from_slice(&max_ratio.to_le_bytes());
+    let mut writer = SnapshotWriter::new();
+    for (tag, payload) in reader.sections() {
+        if tag == SECTION_BACKEND {
+            writer.section(tag, backend.clone());
+        } else {
+            writer.section(tag, payload.to_vec());
+        }
+    }
+
+    // A probe inside the root's high child.
+    let mut bounds = vec![(0.0, max_ratio); k];
+    bounds[axis] = (at + 0.1 * (max_ratio - at), at + 0.5 * (max_ratio - at));
+    let probe = WeightRatioBox::from_bounds(&bounds).unwrap();
+    match EclipseIndex::decode_snapshot(&writer.finish()) {
+        Err(EclipseError::Snapshot(m)) => assert!(m.contains("cut"), "{m}"),
+        Ok(back) => panic!(
+            "a moved root cut decoded: {} crossings where the index has {}, \
+             results equal: {}",
+            back.intersections_crossing(&probe).unwrap(),
+            idx.intersections_crossing(&probe).unwrap(),
+            back.query(&probe).unwrap() == idx.query(&probe).unwrap(),
+        ),
+        Err(other) => panic!("expected a snapshot error, got {other:?}"),
+    }
 }

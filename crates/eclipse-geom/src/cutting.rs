@@ -1,5 +1,6 @@
-//! The cutting-tree Intersection Index (§IV-B of the paper) — randomized,
-//! sampling-based implementation.
+//! The CUTTING split rule: the cutting-tree Intersection Index of §IV-B of
+//! the paper, as a [`SplitPolicy::Cutting`] of the [`ArenaTree`] —
+//! randomized or median-based, sampling-driven cuts.
 //!
 //! Chazelle's deterministic (1/t)-cuttings give the textbook worst-case
 //! guarantee but, as the paper itself notes, "are theoretical in nature and
@@ -9,41 +10,32 @@
 //! with a structure that is easier to make *exact*:
 //!
 //! * the space is partitioned by a binary tree of axis-aligned cuts;
-//! * at every node the cut coordinate is chosen from a **random sample of the
-//!   hyperplanes crossing the cell** (the median of their zero-crossings along
-//!   the widest axis, measured through the cell centre), so regions dense in
-//!   hyperplanes are cut more finely — the property the paper's Voronoi
-//!   sampling is after;
-//! * leaves store the hyperplanes crossing their cell, and queries gather
-//!   candidates from the leaves intersecting the query box and filter them
+//! * at every node the cut coordinate is chosen from a **sample of the
+//!   hyperplanes crossing the cell** (the median of their zero-crossings,
+//!   measured through the cell centre), so regions dense in hyperplanes are
+//!   cut more finely — the property the paper's Voronoi sampling is after;
+//! * every node stores the hyperplanes crossing its cell, and queries gather
+//!   candidates from the cells intersecting the query box and filter them
 //!   with an exact hyperplane-box test.
-//!
-//! Like [`crate::quadtree`], the tree is stored as a flat arena: fixed-size
-//! node records in one `Vec` (the two children of a cut allocated as an
-//! adjacent pair), leaf entries in one shared slab, cell corners in one flat
-//! buffer, and the hyperplanes in a [`HyperplaneSlab`] so the
-//! candidate-filter loop runs branchless over dense coefficient rows.
-//! Steady-state probes through [`CuttingTree::query_into`] perform no heap
-//! allocations.
 //!
 //! Unlike the quadtree, the depth of this tree is bounded by `max_depth`
 //! *and* the data-adaptive median splits keep it balanced even when all
 //! hyperplanes crowd into one corner of the root cell — which is exactly the
-//! worst-case scenario of Figs. 13–14 where CUTTING must beat QUAD.  See
-//! DESIGN.md §4 for the substitution rationale.
+//! worst-case scenario of Figs. 13–14 where CUTTING must beat QUAD.
+//!
+//! [`SplitPolicy::Cutting`]: crate::arena::SplitPolicy::Cutting
+//! [`ArenaTree`]: crate::arena::ArenaTree
 
-use eclipse_exec::ThreadPool;
-use eclipse_persist::{enc, Cursor, PersistError, PersistResult};
+use eclipse_persist::{PersistError, PersistResult};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::approx::EPS;
-use crate::hyperplane::{Hyperplane, HyperplaneSlab};
+use crate::arena::{crossing_census, interior_crossing, median_inplace, partition, SplitPlan};
+use crate::hyperplane::HyperplaneSlab;
 use crate::point::BoundingBox;
-use crate::quadtree::{crossing_sample, PARALLEL_BUILD_MIN_ENTRIES};
-use crate::traverse::{classify_cell, CellRelation, TraversalScratch};
 
 /// How the cut coordinate of an overfull cell is chosen.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -84,7 +76,7 @@ impl CutRule {
     }
 }
 
-/// Construction parameters for [`CuttingTree`].
+/// Construction parameters of a CUTTING [`crate::arena::ArenaTree`].
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct CuttingTreeConfig {
     /// Maximum number of hyperplanes a leaf may hold before it is cut.
@@ -100,7 +92,7 @@ pub struct CuttingTreeConfig {
     pub max_nodes: usize,
     /// Global budget on the shared entry slab (every node stores the ids of
     /// the hyperplanes crossing its cell); see
-    /// [`crate::quadtree::QuadtreeConfig::max_entries`].
+    /// [`QuadtreeConfig::max_entries`](crate::quadtree::QuadtreeConfig::max_entries).
     pub max_entries: usize,
     /// Seed for the sampling RNG so index construction is reproducible
     /// (consumed only under [`CutRule::SampledCrossings`]).
@@ -123,687 +115,49 @@ impl Default for CuttingTreeConfig {
     }
 }
 
-/// Sentinel marking a leaf node (no children).
-const NO_CHILD: u32 = u32::MAX;
-
-/// One arena node: an axis-aligned cut with its two children allocated as an
-/// adjacent pair (`low == high − 1`), or a leaf.
-///
-/// Every node — internal or leaf — records the ids of the hyperplanes
-/// crossing its cell in the shared entry slab.  Leaves use the range for
-/// exact candidate filtering; internal nodes use it to report their whole
-/// (deduplicated) subtree in one pass when their cell is fully contained in
-/// the query box.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-struct Node {
-    /// Cut axis (meaningful for internal nodes only).
-    axis: u32,
-    /// Cut coordinate along `axis`.
-    at: f64,
-    /// Arena index of the low-side child; [`NO_CHILD`] for leaves.
-    low: u32,
-    /// Arena index of the high-side child.
-    high: u32,
-    /// This node's entry range in the shared slab.
-    entries_start: u32,
-    entries_end: u32,
-}
-
-/// A randomized cutting tree over hyperplanes in k-dimensional space, stored
-/// as a flat arena.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct CuttingTree {
-    slab: HyperplaneSlab,
-    nodes: Vec<Node>,
-    /// Node cells, `2k` values per node: `k` lower corner coordinates, then
-    /// `k` upper.
-    cells: Vec<f64>,
-    /// Shared entry slab: every leaf's hyperplane ids, concatenated.
-    entries: Vec<u32>,
-    root_cell: BoundingBox,
-    config: CuttingTreeConfig,
-    max_depth_reached: usize,
-}
-
-impl CuttingTree {
-    /// Builds the index over `hyperplanes`, bounded by `cell`.
-    pub fn build(hyperplanes: &[Hyperplane], cell: BoundingBox, config: CuttingTreeConfig) -> Self {
-        Self::build_from_slab(HyperplaneSlab::from_hyperplanes(hyperplanes), cell, config)
-    }
-
-    /// Builds the index over an already-constructed hyperplane slab, taking
-    /// ownership of it.  Serial; see
-    /// [`CuttingTree::build_from_slab_with`] for the pool-aware entry point
-    /// (both produce byte-identical arenas).
-    pub fn build_from_slab(
-        slab: HyperplaneSlab,
-        cell: BoundingBox,
-        config: CuttingTreeConfig,
-    ) -> Self {
-        Self::build_from_slab_with(slab, cell, config, None)
-    }
-
-    /// Builds the index, optionally spreading per-node entry partitioning
-    /// over `pool`.
-    ///
-    /// Construction is level-synchronous breadth-first, in three phases per
-    /// level: cut *selection* runs serially in frontier order, entry
-    /// *partitioning* — the expensive sign tests — runs in parallel when a
-    /// pool is supplied, and the *stitch* (entry recording, budget checks,
-    /// adjacent child-pair allocation) replays the exact serial frontier
-    /// order.  The arena, and therefore the snapshot encoding, is
-    /// byte-identical for any thread count.
-    ///
-    /// Levels are processed in budget-sized *chunks* (each cut allocates
-    /// exactly two children, so a chunk never overruns `max_nodes` by more
-    /// than one node's pair): early levels form one chunk — maximal
-    /// parallelism — while the level where a budget fills shrinks its chunks
-    /// so at most one chunk of planning is thrown away.
-    ///
-    /// The random draws of [`CutRule::SampledCrossings`] are a pure function
-    /// of `(config.seed, node id)` (`node_rng`): every node streams from
-    /// its own splitmix64-derived RNG, so chunk boundaries, budget
-    /// truncation, and thread count cannot shift the draws of any other
-    /// node.  (The historical single sequential stream made the final chunk
-    /// of budget-truncated builds depend on how many earlier nodes had
-    /// consumed draws — arenas differed across `max_nodes`/`max_entries`
-    /// settings even for the nodes both builds shared, and planning-only
-    /// draws for cuts later discarded by the stitch shifted everything
-    /// after them.)
-    ///
-    /// Level order also matters for the node budget: when `max_nodes` runs
-    /// out, a BFS fills every region of the root cell to the same depth, so
-    /// the partially built tree prunes uniformly instead of spending the
-    /// whole budget on the first child's subtree.
-    pub fn build_from_slab_with(
-        slab: HyperplaneSlab,
-        cell: BoundingBox,
-        config: CuttingTreeConfig,
-        pool: Option<&ThreadPool>,
-    ) -> Self {
-        let mut all = Vec::new();
-        slab.filter_all_intersecting_into(cell.lo(), cell.hi(), &mut all);
-        let mut tree = CuttingTree {
+/// Plans the CUTTING split of arena node `node`: one cut chosen by the
+/// configured [`CutRule`], or `None` when the cell cannot be cut, a half
+/// would be degenerate, or the cut separates nothing (every hyperplane
+/// crosses both halves).
+pub(crate) fn plan_cut(
+    slab: &HyperplaneSlab,
+    cell: &BoundingBox,
+    entries: &[u32],
+    config: &CuttingTreeConfig,
+    node: u32,
+) -> Option<SplitPlan> {
+    let (axis, at) = match config.cut {
+        CutRule::SampledCrossings => choose_cut(
             slab,
-            nodes: Vec::new(),
-            cells: Vec::new(),
-            entries: Vec::new(),
-            root_cell: cell.clone(),
-            config,
-            max_depth_reached: 0,
-        };
-        tree.alloc_node(&cell);
-        let mut frontier: Vec<(u32, Vec<u32>)> = vec![(0, all)];
-        let mut depth = 0usize;
-        while !frontier.is_empty() {
-            tree.max_depth_reached = tree.max_depth_reached.max(depth);
-            let depth_open = depth < tree.config.max_depth;
-            let mut next = Vec::new();
-            let mut i = 0usize;
-            while i < frontier.len() {
-                if !depth_open
-                    || tree.nodes.len() >= tree.config.max_nodes
-                    || tree.entries.len() >= tree.config.max_entries
-                {
-                    // No node from here on can split (depth and budget
-                    // exhaustion only ever grow); record the remaining entry
-                    // lists and finish the level without planning them.
-                    for (idx, node_entries) in &frontier[i..] {
-                        tree.record_entries(*idx, node_entries);
-                    }
-                    break;
-                }
-                // Chunk sizing: each cut allocates exactly two children.
-                let node_room = (tree.config.max_nodes - tree.nodes.len()) / 2;
-                let entry_room = tree.config.max_entries - tree.entries.len();
-                let mut end = i;
-                let mut chunk_entries = 0usize;
-                while end < frontier.len()
-                    && end - i < node_room.max(1)
-                    && chunk_entries < entry_room
-                {
-                    chunk_entries += frontier[end].1.len();
-                    end += 1;
-                }
-                // Phase A — cut selection, serial in frontier order; the
-                // [`CutRule::SampledCrossings`] draws come from a per-node
-                // RNG ([`node_rng`]), so neither chunking nor budget state
-                // can shift another node's sample.
-                let cuts: Vec<Option<(usize, f64)>> = frontier[i..end]
-                    .iter()
-                    .map(|(idx, node_entries)| {
-                        if node_entries.len() <= tree.config.max_capacity {
-                            return None;
-                        }
-                        let cell = tree.node_cell(*idx);
-                        match tree.config.cut {
-                            CutRule::SampledCrossings => {
-                                let mut rng = node_rng(tree.config.seed, *idx);
-                                choose_cut(&tree.slab, &cell, node_entries, &tree.config, &mut rng)
-                            }
-                            CutRule::MedianExtents => {
-                                choose_cut_median(&tree.slab, &cell, node_entries)
-                            }
-                        }
-                    })
-                    .collect();
-                // Phase B — partition the entries of every cut node, in
-                // parallel when the chunk carries enough work.
-                let jobs: Vec<CutJob> = frontier[i..end].iter().zip(cuts).collect();
-                let plans: Vec<Option<CutPlan>> = {
-                    let tree = &tree;
-                    let slab = &tree.slab;
-                    let plan_one = |&((idx, node_entries), cut): &CutJob| -> Option<CutPlan> {
-                        let (axis, at) = cut?;
-                        let cell = tree.node_cell(*idx);
-                        let (low_cell, high_cell) = cell.split_at(axis, at);
-                        // Guard against non-progress cuts (degenerate halves).
-                        if low_cell.extent(axis) <= EPS || high_cell.extent(axis) <= EPS {
-                            return None;
-                        }
-                        let mut low_entries = Vec::new();
-                        slab.filter_intersecting_into(
-                            node_entries,
-                            low_cell.lo(),
-                            low_cell.hi(),
-                            &mut low_entries,
-                        );
-                        let mut high_entries = Vec::new();
-                        slab.filter_intersecting_into(
-                            node_entries,
-                            high_cell.lo(),
-                            high_cell.hi(),
-                            &mut high_entries,
-                        );
-                        // If the cut failed to separate anything, stop to
-                        // avoid infinite recursion (every hyperplane crosses
-                        // both halves).
-                        if low_entries.len() == node_entries.len()
-                            && high_entries.len() == node_entries.len()
-                        {
-                            return None;
-                        }
-                        Some(CutPlan {
-                            axis,
-                            at,
-                            low_cell,
-                            high_cell,
-                            low_entries,
-                            high_entries,
-                        })
-                    };
-                    let cut_entries: usize = jobs
-                        .iter()
-                        .filter(|(_, cut)| cut.is_some())
-                        .map(|((_, e), _)| e.len())
-                        .sum();
-                    match pool {
-                        Some(pool)
-                            if pool.threads() > 1 && cut_entries >= PARALLEL_BUILD_MIN_ENTRIES =>
-                        {
-                            pool.par_map(&jobs, plan_one)
-                        }
-                        _ => jobs.iter().map(plan_one).collect(),
-                    }
-                };
-                // Phase C — stitch, serially and in frontier order
-                // (identical to the historical one-node-at-a-time BFS pop
-                // order).  The checks below observe the live arena exactly
-                // as the serial builder did.
-                for (j, plan) in plans.into_iter().enumerate() {
-                    let (idx, node_entries) = &frontier[i + j];
-                    // Every node records its (deduplicated) entry list, so
-                    // queries can report a fully contained subtree straight
-                    // from its root.
-                    tree.record_entries(*idx, node_entries);
-                    if node_entries.len() <= tree.config.max_capacity
-                        || depth >= tree.config.max_depth
-                        || tree.nodes.len() >= tree.config.max_nodes
-                        || tree.entries.len() >= tree.config.max_entries
-                    {
-                        continue;
-                    }
-                    let Some(plan) = plan else { continue };
-                    let low = tree.nodes.len() as u32;
-                    tree.alloc_node(&plan.low_cell);
-                    tree.alloc_node(&plan.high_cell);
-                    let node = &mut tree.nodes[*idx as usize];
-                    node.axis = plan.axis as u32;
-                    node.at = plan.at;
-                    node.low = low;
-                    node.high = low + 1;
-                    next.push((low, plan.low_entries));
-                    next.push((low + 1, plan.high_entries));
-                }
-                i = end;
-            }
-            frontier = next;
-            depth += 1;
-        }
-        tree
-    }
-
-    /// Appends a leaf placeholder for `cell` to the arena.
-    fn alloc_node(&mut self, cell: &BoundingBox) {
-        self.nodes.push(Node {
-            axis: 0,
-            at: 0.0,
-            low: NO_CHILD,
-            high: NO_CHILD,
-            entries_start: 0,
-            entries_end: 0,
-        });
-        self.cells.extend_from_slice(cell.lo());
-        self.cells.extend_from_slice(cell.hi());
-    }
-
-    /// Stores a node's entries into the shared slab and records the range.
-    fn record_entries(&mut self, idx: u32, node_entries: &[u32]) {
-        let start = self.entries.len() as u32;
-        self.entries.extend_from_slice(node_entries);
-        let node = &mut self.nodes[idx as usize];
-        node.entries_start = start;
-        node.entries_end = self.entries.len() as u32;
-    }
-
-    /// Reconstructs a node's cell as an owned box (build/diagnostics only).
-    fn node_cell(&self, idx: u32) -> BoundingBox {
-        let k = self.root_cell.dim();
-        let base = idx as usize * 2 * k;
-        BoundingBox::new(
-            self.cells[base..base + k].to_vec(),
-            self.cells[base + k..base + 2 * k].to_vec(),
-        )
-    }
-
-    /// The configuration the tree was built with.
-    pub fn config(&self) -> CuttingTreeConfig {
-        self.config
-    }
-
-    /// Number of hyperplanes the tree was built over.
-    pub fn len(&self) -> usize {
-        self.slab.len()
-    }
-
-    /// `true` when the tree indexes no hyperplanes.
-    pub fn is_empty(&self) -> bool {
-        self.slab.is_empty()
-    }
-
-    /// Total number of tree nodes (diagnostic).
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Total number of entry-slab slots (diagnostic: the arena's dominant
-    /// memory cost; every node stores the ids crossing its cell).
-    pub fn entry_count(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Deepest level created during construction (diagnostic).
-    pub fn depth(&self) -> usize {
-        self.max_depth_reached
-    }
-
-    /// Heap bytes owned by the arena: the hyperplane slab plus the node,
-    /// cell-corner and entry buffers (counted at capacity) and the root
-    /// cell's corners.  Exact up to allocator headers; used by the serving
-    /// layer's memory accounting.
-    pub fn heap_bytes(&self) -> usize {
-        self.slab.heap_bytes()
-            + self.nodes.capacity() * std::mem::size_of::<Node>()
-            + self.cells.capacity() * std::mem::size_of::<f64>()
-            + self.entries.capacity() * std::mem::size_of::<u32>()
-            + self.root_cell.heap_bytes()
-    }
-
-    /// The root cell.
-    pub fn root_cell(&self) -> &BoundingBox {
-        &self.root_cell
-    }
-
-    /// The hyperplane rows the tree indexes.
-    pub fn slab(&self) -> &HyperplaneSlab {
-        &self.slab
-    }
-
-    /// Returns the indices of all hyperplanes intersecting `query`, in
-    /// ascending order and without duplicates.
-    ///
-    /// `hyperplanes` must be the same slice the tree was built from (the tree
-    /// owns a slab copy of the rows; the slice is only length-checked).
-    /// Allocates fresh scratch per call — repeated probing should use
-    /// [`CuttingTree::query_into`].
-    ///
-    /// # Panics
-    /// Panics if `hyperplanes.len()` differs from the construction-time count.
-    pub fn query(&self, hyperplanes: &[Hyperplane], query: &BoundingBox) -> Vec<usize> {
-        assert_eq!(
-            hyperplanes.len(),
-            self.slab.len(),
-            "query must use the hyperplane slice the index was built from"
-        );
-        let mut scratch = TraversalScratch::new();
-        let mut out = Vec::new();
-        self.query_into(query.lo(), query.hi(), &mut scratch, &mut out);
-        out
-    }
-
-    /// The allocation-free query: appends the indices of all hyperplanes
-    /// intersecting the box `[qlo, qhi]` to `out` (cleared first), in
-    /// ascending order and without duplicates.  `scratch` is reused at its
-    /// high-water capacity across probes.
-    ///
-    /// # Panics
-    /// Panics if the corner slices do not match the root cell dimensionality.
-    pub fn query_into(
-        &self,
-        qlo: &[f64],
-        qhi: &[f64],
-        scratch: &mut TraversalScratch,
-        out: &mut Vec<usize>,
-    ) {
-        out.clear();
-        self.mark_hits(qlo, qhi, scratch);
-        scratch.drain_into(out);
-    }
-
-    /// The count-only query: the number of hyperplanes intersecting the box
-    /// `[qlo, qhi]`, computed with the same traversal (contained cells report
-    /// their deduplicated subtree without a single sign test) but swept out
-    /// of the visited bitmap as a popcount — no id is ever materialized, so
-    /// the query performs no heap allocations at steady state.
-    ///
-    /// # Panics
-    /// Panics if the corner slices do not match the root cell dimensionality.
-    pub fn count_in_box(&self, qlo: &[f64], qhi: &[f64], scratch: &mut TraversalScratch) -> usize {
-        self.mark_hits(qlo, qhi, scratch);
-        scratch.drain_count()
-    }
-
-    /// Shared traversal of [`CuttingTree::query_into`] and
-    /// [`CuttingTree::count_in_box`]: marks every hyperplane intersecting the
-    /// box in the scratch's visited bitmap.
-    fn mark_hits(&self, qlo: &[f64], qhi: &[f64], scratch: &mut TraversalScratch) {
-        assert_eq!(
-            qlo.len(),
-            self.root_cell.dim(),
-            "query dimensionality mismatch"
-        );
-        assert_eq!(
-            qhi.len(),
-            self.root_cell.dim(),
-            "query dimensionality mismatch"
-        );
-        scratch.begin(self.slab.len());
-        scratch.stack.push(0);
-        while let Some(idx) = scratch.stack.pop() {
-            let idx = idx as usize;
-            let node = self.nodes[idx];
-            match classify_cell(&self.cells, idx, qlo, qhi) {
-                CellRelation::Disjoint => {}
-                CellRelation::Contained => {
-                    // The cell lies inside the query box, so every hyperplane
-                    // crossing the cell crosses the box: report this node's
-                    // deduplicated entry list without descending or running a
-                    // single sign test.
-                    for &e in &self.entries[node.entries_start as usize..node.entries_end as usize]
-                    {
-                        scratch.mark(e as usize);
-                    }
-                }
-                CellRelation::Overlaps if node.low == NO_CHILD => {
-                    // Gather the not-yet-marked entries and sign-test them
-                    // four at a time through the batched kernel; the buffers
-                    // are taken out of the scratch for the duration (no
-                    // allocation at steady state, same bit-exact decisions).
-                    let mut pending = std::mem::take(&mut scratch.pending);
-                    let mut filtered = std::mem::take(&mut scratch.filtered);
-                    pending.clear();
-                    pending.extend(
-                        self.entries[node.entries_start as usize..node.entries_end as usize]
-                            .iter()
-                            .copied()
-                            .filter(|&e| !scratch.is_marked(e as usize)),
-                    );
-                    filtered.clear();
-                    self.slab
-                        .filter_intersecting_into(&pending, qlo, qhi, &mut filtered);
-                    for &e in &filtered {
-                        scratch.mark(e as usize);
-                    }
-                    scratch.pending = pending;
-                    scratch.filtered = filtered;
-                }
-                CellRelation::Overlaps => {
-                    // Descend through the cut plane: a child strictly on the
-                    // far side of the cut cannot intersect the query box (EPS
-                    // slack keeps the test conservative; the per-node cell
-                    // check prunes any survivors exactly).
-                    let axis = node.axis as usize;
-                    if qlo[axis] <= node.at + EPS {
-                        scratch.stack.push(node.low);
-                    }
-                    if qhi[axis] >= node.at - EPS {
-                        scratch.stack.push(node.high);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Appends the tree's snapshot encoding: construction config (including
-    /// the sampling seed, so the provenance of the cuts is preserved), root
-    /// cell, reached depth, the hyperplane slab, then the three arena
-    /// buffers.  Construction is deterministic for a seed (and for any
-    /// thread count), so the same input data and config always produce the
-    /// same bytes.
-    ///
-    /// Always writes the current container format; the cut-rule tag after
-    /// the seed is the format-v2 addition.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        enc::put_usize(out, self.config.max_capacity);
-        enc::put_usize(out, self.config.max_depth);
-        enc::put_usize(out, self.config.sample_size);
-        enc::put_usize(out, self.config.max_nodes);
-        enc::put_usize(out, self.config.max_entries);
-        enc::put_u64(out, self.config.seed);
-        enc::put_u8(out, self.config.cut.tag());
-        self.root_cell.encode_into(out);
-        enc::put_usize(out, self.max_depth_reached);
-        self.slab.encode_into(out);
-        enc::put_usize(out, self.nodes.len());
-        for node in &self.nodes {
-            enc::put_u32(out, node.axis);
-            enc::put_f64(out, node.at);
-            enc::put_u32(out, node.low);
-            enc::put_u32(out, node.high);
-            enc::put_u32(out, node.entries_start);
-            enc::put_u32(out, node.entries_end);
-        }
-        // `cells` holds exactly 2k values per node, so no count is stored.
-        for &c in &self.cells {
-            enc::put_f64(out, c);
-        }
-        enc::put_usize(out, self.entries.len());
-        for &e in &self.entries {
-            enc::put_u32(out, e);
-        }
-    }
-
-    /// Decodes a tree previously written by [`CuttingTree::encode_into`],
-    /// consuming exactly its bytes from `cur` and re-validating every arena
-    /// invariant the query loop relies on (counts bounded by the remaining
-    /// bytes, children strictly forward so traversal terminates, cut axes
-    /// inside the ambient dimensionality, entry ranges and ids in bounds).
-    ///
-    /// # Errors
-    /// A typed [`PersistError`] for every defect; arbitrary input never
-    /// panics.
-    pub fn decode(cur: &mut Cursor<'_>) -> PersistResult<Self> {
-        Self::decode_versioned(cur, eclipse_persist::FORMAT_VERSION)
-    }
-
-    /// Version-aware decode: format-v1 payloads predate [`CutRule`] (no tag
-    /// byte; every v1 tree was built with the sampled-crossings rule), v2
-    /// carries the rule tag.  Callers reading a snapshot container pass
-    /// `SnapshotReader::version`.
-    pub fn decode_versioned(cur: &mut Cursor<'_>, version: u32) -> PersistResult<Self> {
-        let config = CuttingTreeConfig {
-            max_capacity: cur.usize64()?,
-            max_depth: cur.usize64()?,
-            sample_size: cur.usize64()?,
-            max_nodes: cur.usize64()?,
-            max_entries: cur.usize64()?,
-            seed: cur.u64()?,
-            cut: if version >= 2 {
-                CutRule::from_tag(cur.u8()?)?
-            } else {
-                CutRule::SampledCrossings
-            },
-        };
-        let root_cell = BoundingBox::decode(cur)?;
-        let max_depth_reached = cur.usize64()?;
-        let slab = HyperplaneSlab::decode(cur)?;
-        let k = root_cell.dim();
-        if slab.dim() != k {
-            return Err(PersistError::Malformed(format!(
-                "slab dimensionality {} does not match the {k}-dimensional root cell",
-                slab.dim()
-            )));
-        }
-        let node_count = cur.count(24)?;
-        if node_count == 0 {
-            return Err(PersistError::Malformed(
-                "a cutting-tree arena needs at least its root node".to_string(),
-            ));
-        }
-        let mut nodes = Vec::with_capacity(node_count);
-        for _ in 0..node_count {
-            nodes.push(Node {
-                axis: cur.u32()?,
-                at: cur.f64()?,
-                low: cur.u32()?,
-                high: cur.u32()?,
-                entries_start: cur.u32()?,
-                entries_end: cur.u32()?,
-            });
-        }
-        let cells = cur.f64_vec(node_count.checked_mul(2 * k).ok_or_else(|| {
-            PersistError::Malformed(format!("{node_count} cells of dimension {k} overflow"))
-        })?)?;
-        let entry_count = cur.count(4)?;
-        let entries = cur.u32_vec(entry_count)?;
-        if let Some(&bad) = entries.iter().find(|&&e| e as usize >= slab.len()) {
-            return Err(PersistError::Malformed(format!(
-                "entry id {bad} out of range for {} hyperplanes",
-                slab.len()
-            )));
-        }
-        for (idx, node) in nodes.iter().enumerate() {
-            if node.entries_start > node.entries_end || node.entries_end as usize > entries.len() {
-                return Err(PersistError::Malformed(format!(
-                    "node {idx} entry range {}..{} escapes the {}-slot entry slab",
-                    node.entries_start,
-                    node.entries_end,
-                    entries.len()
-                )));
-            }
-            if node.low == NO_CHILD {
-                if node.high != NO_CHILD {
-                    return Err(PersistError::Malformed(format!(
-                        "node {idx} is half-leaf (low unset, high {})",
-                        node.high
-                    )));
-                }
-            } else if node.axis as usize >= k
-                || node.low as usize <= idx
-                || node.high as usize <= idx
-                || node.low as usize >= node_count
-                || node.high as usize >= node_count
-            {
-                // Children must point strictly forward (the builder allocates
-                // them after their parent), which is also what guarantees the
-                // iterative traversal terminates on decoded arenas; the cut
-                // axis must index the ambient space or the descent would
-                // read out of bounds.
-                return Err(PersistError::Malformed(format!(
-                    "node {idx} cut (axis {}, children {}/{}) is invalid for \
-                     {node_count} nodes of dimension {k}",
-                    node.axis, node.low, node.high
-                )));
-            }
-        }
-        Ok(CuttingTree {
-            slab,
-            nodes,
-            cells,
+            cell,
             entries,
-            root_cell,
-            config,
-            max_depth_reached,
-        })
+            config.sample_size,
+            &mut node_rng(config.seed, node),
+        ),
+        CutRule::MedianExtents => choose_cut_median(slab, cell, entries),
+    }?;
+    let (low, high) = cell.split_at(axis, at);
+    if low.extent(axis) <= EPS || high.extent(axis) <= EPS {
+        return None;
     }
+    partition(slab, vec![low, high], entries)
 }
 
-/// One planning job: a frontier node (arena index + entry ids) paired with
-/// its pre-selected cut, if the node is to be split at all.
-type CutJob<'a> = (&'a (u32, Vec<u32>), Option<(usize, f64)>);
-
-/// A planned cut of one overfull node: the chosen cut, the two child cells,
-/// and the entry subsets crossing each.  Partitioning is a pure function of
-/// (slab, cell, cut, entries), which is what lets it run on any thread while
-/// cut selection and stitching stay serial and deterministic.
-struct CutPlan {
-    axis: usize,
-    at: f64,
-    low_cell: BoundingBox,
-    high_cell: BoundingBox,
-    low_entries: Vec<u32>,
-    high_entries: Vec<u32>,
-}
-
-/// The deterministic [`CutRule::MedianExtents`] cut: measures the in-cell
-/// zero-crossings of a strided entry sample along every axis (through the
-/// cell centre — see [`crate::quadtree::crossing_sample`]), cuts the axis
-/// carrying the most crossings — ties broken towards the wider extent, then
-/// the earlier axis — at their median.  With no
-/// interior crossings at all, falls back to the midpoint of the widest axis
-/// (no jitter; a fruitless midpoint cut is caught by the builder's
-/// no-progress guard, so termination does not need it).  Returns `None` only
-/// when the cell is degenerate on every axis.
+/// The deterministic [`CutRule::MedianExtents`] cut: takes the crossing
+/// census of the cell (see [`crossing_census`]), cuts the axis carrying the
+/// most crossings — ties broken towards the wider extent, then the earlier
+/// axis — at their median.  With no interior crossings at all, falls back to
+/// the midpoint of the widest axis (no jitter; a fruitless midpoint cut is
+/// caught by the no-progress guard, so termination does not need it).
+/// Returns `None` only when the cell is degenerate on every axis.
 fn choose_cut_median(
     slab: &HyperplaneSlab,
     cell: &BoundingBox,
     entries: &[u32],
 ) -> Option<(usize, f64)> {
-    let k = cell.dim();
-    let center = cell.center();
-    let mut crossings: Vec<Vec<f64>> = vec![Vec::new(); k];
-    for i in crossing_sample(entries) {
-        let row = slab.coeffs_row(i as usize);
-        let offset = slab.offset(i as usize);
-        for axis in 0..k {
-            let coeff = row[axis];
-            if coeff.abs() <= EPS {
-                continue;
-            }
-            let mut rest = 0.0;
-            for (j, c) in row.iter().enumerate() {
-                if j != axis {
-                    rest += c * center.coord(j);
-                }
-            }
-            let x = -(rest + offset) / coeff;
-            if x > cell.lo()[axis] + EPS && x < cell.hi()[axis] - EPS {
-                crossings[axis].push(x);
-            }
-        }
-    }
+    let (mut crossings, _) = crossing_census(slab, cell, entries);
     let mut best: Option<usize> = None;
-    for axis in 0..k {
+    for axis in 0..cell.dim() {
         if crossings[axis].is_empty() {
             continue;
         }
@@ -820,17 +174,17 @@ fn choose_cut_median(
         }
     }
     if let Some(axis) = best {
-        let xs = &mut crossings[axis];
-        let mid = xs.len() / 2;
-        let at = *xs.select_nth_unstable_by(mid, |a, b| a.total_cmp(b)).1;
-        return Some((axis, at));
+        return Some((axis, median_inplace(&mut crossings[axis])));
     }
     // No interior crossing anywhere: midpoint of the widest axis.
-    let axis = (0..k).max_by(|&a, &b| cell.extent(a).total_cmp(&cell.extent(b)))?;
-    if cell.extent(axis) <= EPS {
-        return None;
-    }
+    let axis = widest_axis(cell)?;
     Some((axis, 0.5 * (cell.lo()[axis] + cell.hi()[axis])))
+}
+
+/// The widest axis of `cell`, or `None` when even that one is degenerate.
+fn widest_axis(cell: &BoundingBox) -> Option<usize> {
+    let axis = (0..cell.dim()).max_by(|&a, &b| cell.extent(a).total_cmp(&cell.extent(b)))?;
+    (cell.extent(axis) > EPS).then_some(axis)
 }
 
 /// The [`CutRule::SampledCrossings`] RNG of one node: seeded purely from
@@ -860,23 +214,17 @@ fn splitmix64(mut x: u64) -> u64 {
 ///
 /// The axis is the widest axis of the cell; the coordinate is the median of
 /// the zero-crossings (along that axis, through the cell centre) of a random
-/// sample of the hyperplanes crossing the cell.  Falls back to the cell
-/// midpoint when no sampled hyperplane yields a usable crossing.
+/// sample of the hyperplanes crossing the cell.  Falls back to a jittered
+/// cell midpoint when no sampled hyperplane yields a usable crossing.
 fn choose_cut(
     slab: &HyperplaneSlab,
     cell: &BoundingBox,
     entries: &[u32],
-    config: &CuttingTreeConfig,
+    sample_size: usize,
     rng: &mut StdRng,
 ) -> Option<(usize, f64)> {
-    let k = cell.dim();
-    // Pick the widest splittable axis.
-    let axis = (0..k).max_by(|&a, &b| cell.extent(a).total_cmp(&cell.extent(b)))?;
-    if cell.extent(axis) <= EPS {
-        return None;
-    }
-
-    let sample_count = config.sample_size.min(entries.len()).max(1);
+    let axis = widest_axis(cell)?;
+    let sample_count = sample_size.min(entries.len()).max(1);
     let sample: Vec<u32> = if entries.len() <= sample_count {
         entries.to_vec()
     } else {
@@ -885,431 +233,19 @@ fn choose_cut(
             .copied()
             .collect()
     };
-
     let center = cell.center();
-    let mut crossings: Vec<f64> = Vec::with_capacity(sample.len());
-    for &i in &sample {
-        let row = slab.coeffs_row(i as usize);
-        let coeff = row[axis];
-        if coeff.abs() <= EPS {
-            continue;
-        }
-        // Solve h(x) = 0 with all coordinates fixed at the cell centre except
-        // `axis`.
-        let mut rest = 0.0;
-        for (j, c) in row.iter().enumerate() {
-            if j != axis {
-                rest += c * center.coord(j);
-            }
-        }
-        let x = -(rest + slab.offset(i as usize)) / coeff;
-        if x > cell.lo()[axis] + EPS && x < cell.hi()[axis] - EPS {
-            crossings.push(x);
-        }
-    }
-
+    let mut crossings: Vec<f64> = sample
+        .iter()
+        .filter_map(|&e| interior_crossing(slab, e, axis, cell, &center))
+        .collect();
     let at = if crossings.is_empty() {
         // No informative crossing in the sample: fall back to the midpoint,
-        // possibly jittered slightly so repeated fallbacks still make progress.
+        // jittered slightly so repeated fallbacks still make progress.
         let mid = 0.5 * (cell.lo()[axis] + cell.hi()[axis]);
         let jitter = cell.extent(axis) * rng.gen_range(-0.05..0.05);
         (mid + jitter).clamp(cell.lo()[axis], cell.hi()[axis])
     } else {
-        crossings.sort_by(|a, b| a.total_cmp(b));
-        crossings[crossings.len() / 2]
+        median_inplace(&mut crossings)
     };
     Some((axis, at))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn line(a: f64, b: f64, c: f64) -> Hyperplane {
-        Hyperplane::new(vec![a, b], c)
-    }
-
-    fn unit_box() -> BoundingBox {
-        BoundingBox::new(vec![0.0, 0.0], vec![1.0, 1.0])
-    }
-
-    fn brute_force(hs: &[Hyperplane], q: &BoundingBox) -> Vec<usize> {
-        (0..hs.len()).filter(|&i| hs[i].intersects_box(q)).collect()
-    }
-
-    #[test]
-    fn build_and_query_small() {
-        let hs = vec![
-            line(1.0, -1.0, 0.0),
-            line(0.0, 1.0, -0.25),
-            line(0.0, 1.0, -0.75),
-            line(1.0, 1.0, -10.0),
-        ];
-        let tree = CuttingTree::build(&hs, unit_box(), CuttingTreeConfig::default());
-        assert_eq!(tree.len(), 4);
-        assert_eq!(tree.root_cell(), &unit_box());
-        assert_eq!(tree.slab().len(), 4);
-        let q = BoundingBox::new(vec![0.0, 0.0], vec![0.5, 0.5]);
-        assert_eq!(tree.query(&hs, &q), brute_force(&hs, &q));
-    }
-
-    #[test]
-    fn query_agrees_with_brute_force_randomized() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1234);
-        let hs: Vec<Hyperplane> = (0..300)
-            .map(|_| {
-                line(
-                    rng.gen_range(-1.0..1.0),
-                    rng.gen_range(-1.0..1.0),
-                    rng.gen_range(-1.0..1.0),
-                )
-            })
-            .collect();
-        let root = BoundingBox::new(vec![-1.0, -1.0], vec![1.0, 1.0]);
-        let tree = CuttingTree::build(
-            &hs,
-            root,
-            CuttingTreeConfig {
-                max_capacity: 6,
-                ..CuttingTreeConfig::default()
-            },
-        );
-        for _ in 0..25 {
-            let x0 = rng.gen_range(-1.0..0.9);
-            let y0 = rng.gen_range(-1.0..0.9);
-            let q = BoundingBox::new(
-                vec![x0, y0],
-                vec![x0 + rng.gen_range(0.01..0.1), y0 + rng.gen_range(0.01..0.1)],
-            );
-            assert_eq!(tree.query(&hs, &q), brute_force(&hs, &q));
-        }
-    }
-
-    #[test]
-    fn three_dimensional_cutting_tree() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(99);
-        let hs: Vec<Hyperplane> = (0..150)
-            .map(|_| {
-                Hyperplane::new(
-                    vec![
-                        rng.gen_range(-1.0..1.0),
-                        rng.gen_range(-1.0..1.0),
-                        rng.gen_range(-1.0..1.0),
-                    ],
-                    rng.gen_range(-0.5..0.5),
-                )
-            })
-            .collect();
-        let root = BoundingBox::new(vec![-1.0, -1.0, -1.0], vec![1.0, 1.0, 1.0]);
-        let tree = CuttingTree::build(&hs, root, CuttingTreeConfig::default());
-        for _ in 0..10 {
-            let lo: Vec<f64> = (0..3).map(|_| rng.gen_range(-1.0..0.8)).collect();
-            let hi: Vec<f64> = lo.iter().map(|l| l + rng.gen_range(0.05..0.2)).collect();
-            let q = BoundingBox::new(lo, hi);
-            assert_eq!(tree.query(&hs, &q), brute_force(&hs, &q));
-        }
-    }
-
-    #[test]
-    fn clustered_lines_stay_balanced() {
-        // The same clustered worst case that makes the quadtree degenerate:
-        // the cutting tree's sampled-median cuts keep the depth far below the
-        // hyperplane count.
-        let hs: Vec<Hyperplane> = (0..256)
-            .map(|i| line(1.0, -1.0, -1e-4 * i as f64))
-            .collect();
-        let cfg = CuttingTreeConfig {
-            max_capacity: 4,
-            max_depth: 40,
-            ..CuttingTreeConfig::default()
-        };
-        let tree = CuttingTree::build(&hs, unit_box(), cfg);
-        assert!(
-            tree.depth() <= 20,
-            "cutting tree should stay shallow on clustered input, got {}",
-            tree.depth()
-        );
-        let q = BoundingBox::new(vec![0.4, 0.4], vec![0.6, 0.6]);
-        assert_eq!(tree.query(&hs, &q), brute_force(&hs, &q));
-    }
-
-    #[test]
-    fn construction_is_deterministic_for_a_seed() {
-        let hs: Vec<Hyperplane> = (0..50).map(|i| line(1.0, -0.5, -0.01 * i as f64)).collect();
-        let a = CuttingTree::build(&hs, unit_box(), CuttingTreeConfig::default());
-        let b = CuttingTree::build(&hs, unit_box(), CuttingTreeConfig::default());
-        assert_eq!(a.node_count(), b.node_count());
-        assert_eq!(a.depth(), b.depth());
-        let q = BoundingBox::new(vec![0.1, 0.1], vec![0.3, 0.3]);
-        assert_eq!(a.query(&hs, &q), b.query(&hs, &q));
-    }
-
-    #[test]
-    fn query_into_reuses_scratch_across_probes() {
-        let hs: Vec<Hyperplane> = (0..80).map(|i| line(1.0, -0.7, -0.01 * i as f64)).collect();
-        let tree = CuttingTree::build(&hs, unit_box(), CuttingTreeConfig::default());
-        let mut scratch = TraversalScratch::new();
-        let mut out = Vec::new();
-        for (x0, y0, side) in [(0.0, 0.0, 0.4), (0.5, 0.5, 0.3), (0.9, 0.1, 0.05)] {
-            let q = BoundingBox::new(vec![x0, y0], vec![x0 + side, y0 + side]);
-            tree.query_into(q.lo(), q.hi(), &mut scratch, &mut out);
-            assert_eq!(out, brute_force(&hs, &q), "box {q:?}");
-        }
-    }
-
-    #[test]
-    fn empty_tree_queries_cleanly() {
-        let hs: Vec<Hyperplane> = Vec::new();
-        let tree = CuttingTree::build(&hs, unit_box(), CuttingTreeConfig::default());
-        assert!(tree.is_empty());
-        assert_eq!(tree.query(&hs, &unit_box()), Vec::<usize>::new());
-        let mut scratch = TraversalScratch::new();
-        assert_eq!(tree.count_in_box(&[0.0, 0.0], &[1.0, 1.0], &mut scratch), 0);
-    }
-
-    #[test]
-    fn count_in_box_matches_query_cardinality() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(44);
-        let hs: Vec<Hyperplane> = (0..250)
-            .map(|_| {
-                line(
-                    rng.gen_range(-1.0..1.0),
-                    rng.gen_range(-1.0..1.0),
-                    rng.gen_range(-1.0..1.0),
-                )
-            })
-            .collect();
-        let root = BoundingBox::new(vec![-1.0, -1.0], vec![1.0, 1.0]);
-        let tree = CuttingTree::build(
-            &hs,
-            root.clone(),
-            CuttingTreeConfig {
-                max_capacity: 6,
-                ..CuttingTreeConfig::default()
-            },
-        );
-        let mut scratch = TraversalScratch::new();
-        for q in std::iter::once(root).chain((0..25).map(|_| {
-            let x0 = rng.gen_range(-1.0..0.8);
-            let y0 = rng.gen_range(-1.0..0.8);
-            BoundingBox::new(
-                vec![x0, y0],
-                vec![x0 + rng.gen_range(0.01..0.2), y0 + rng.gen_range(0.01..0.2)],
-            )
-        })) {
-            let ids = tree.query(&hs, &q);
-            assert_eq!(
-                tree.count_in_box(q.lo(), q.hi(), &mut scratch),
-                ids.len(),
-                "box {q:?}"
-            );
-            let mut out = Vec::new();
-            tree.query_into(q.lo(), q.hi(), &mut scratch, &mut out);
-            assert_eq!(out, ids, "box {q:?}");
-        }
-    }
-
-    #[test]
-    fn snapshot_round_trips_byte_exactly() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(2027);
-        let hs: Vec<Hyperplane> = (0..200)
-            .map(|_| {
-                line(
-                    rng.gen_range(-1.0..1.0),
-                    rng.gen_range(-1.0..1.0),
-                    rng.gen_range(-1.0..1.0),
-                )
-            })
-            .collect();
-        let root = BoundingBox::new(vec![-1.0, -1.0], vec![1.0, 1.0]);
-        let tree = CuttingTree::build(
-            &hs,
-            root,
-            CuttingTreeConfig {
-                max_capacity: 5,
-                ..CuttingTreeConfig::default()
-            },
-        );
-        let mut bytes = Vec::new();
-        tree.encode_into(&mut bytes);
-        let mut cur = Cursor::new(&bytes);
-        let back = CuttingTree::decode(&mut cur).unwrap();
-        cur.finish().unwrap();
-        assert_eq!(back.config(), tree.config());
-        assert_eq!(back.root_cell(), tree.root_cell());
-        assert_eq!(back.node_count(), tree.node_count());
-        assert_eq!(back.entry_count(), tree.entry_count());
-        assert_eq!(back.depth(), tree.depth());
-        for _ in 0..20 {
-            let x0 = rng.gen_range(-1.0..0.8);
-            let y0 = rng.gen_range(-1.0..0.8);
-            let q = BoundingBox::new(
-                vec![x0, y0],
-                vec![x0 + rng.gen_range(0.01..0.3), y0 + rng.gen_range(0.01..0.3)],
-            );
-            assert_eq!(back.query(&hs, &q), tree.query(&hs, &q), "box {q:?}");
-        }
-        let mut again = Vec::new();
-        back.encode_into(&mut again);
-        assert_eq!(again, bytes);
-    }
-
-    #[test]
-    fn snapshot_decode_is_total_on_hostile_input() {
-        // Kept deliberately tiny: the truncation sweep below decodes every
-        // proper prefix, which is quadratic in the snapshot size.  Horizontal
-        // lines separate cleanly under axis-aligned cuts, so the root
-        // subdivides even at this size.
-        let hs: Vec<Hyperplane> = (0..8).map(|i| line(0.0, 1.0, -0.1 * i as f64)).collect();
-        let tree = CuttingTree::build(
-            &hs,
-            unit_box(),
-            CuttingTreeConfig {
-                max_capacity: 2,
-                ..CuttingTreeConfig::default()
-            },
-        );
-        let mut bytes = Vec::new();
-        tree.encode_into(&mut bytes);
-        for cut in 0..bytes.len() {
-            assert!(
-                CuttingTree::decode(&mut Cursor::new(&bytes[..cut])).is_err(),
-                "prefix of {cut} bytes must not decode"
-            );
-        }
-        // Backward-pointing children (a traversal cycle) are refused.
-        let mut evil = Vec::new();
-        let evil_tree = {
-            let mut t = tree.clone();
-            assert!(t.nodes[0].low != NO_CHILD, "root subdivided");
-            t.nodes[0].low = 0;
-            t
-        };
-        evil_tree.encode_into(&mut evil);
-        assert!(matches!(
-            CuttingTree::decode(&mut Cursor::new(&evil)),
-            Err(PersistError::Malformed(m)) if m.contains("invalid")
-        ));
-        // A cut axis outside the ambient space is refused (the descent would
-        // index the query corners out of bounds).
-        let mut evil = Vec::new();
-        let evil_tree = {
-            let mut t = tree.clone();
-            t.nodes[0].axis = 7;
-            t
-        };
-        evil_tree.encode_into(&mut evil);
-        assert!(matches!(
-            CuttingTree::decode(&mut Cursor::new(&evil)),
-            Err(PersistError::Malformed(_))
-        ));
-    }
-
-    #[test]
-    fn median_rule_agrees_with_brute_force_and_tracks_clusters() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(555);
-        // Clustered diagonals plus random lines and degenerate rows.
-        let mut hs: Vec<Hyperplane> = (0..128)
-            .map(|i| line(1.0, -1.0, -1e-4 * i as f64))
-            .collect();
-        for _ in 0..64 {
-            hs.push(line(
-                rng.gen_range(-1.0..1.0),
-                rng.gen_range(-1.0..1.0),
-                rng.gen_range(-1.0..1.0),
-            ));
-        }
-        hs.push(Hyperplane::new(vec![0.0, 0.0], 0.0));
-        hs.push(Hyperplane::new(vec![0.0, 0.0], 1.0));
-        let mk = |cut| {
-            CuttingTree::build(
-                &hs,
-                unit_box(),
-                CuttingTreeConfig {
-                    max_capacity: 4,
-                    max_depth: 40,
-                    cut,
-                    ..CuttingTreeConfig::default()
-                },
-            )
-        };
-        let median = mk(CutRule::MedianExtents);
-        let sampled = mk(CutRule::SampledCrossings);
-        // The 256-element strided median can only balance better than the
-        // 16-element sampled guess.
-        assert!(
-            median.depth() <= sampled.depth(),
-            "median depth {} vs sampled depth {}",
-            median.depth(),
-            sampled.depth()
-        );
-        for _ in 0..30 {
-            let x0 = rng.gen_range(0.0..0.9);
-            let y0 = rng.gen_range(0.0..0.9);
-            let q = BoundingBox::new(
-                vec![x0, y0],
-                vec![x0 + rng.gen_range(0.01..0.1), y0 + rng.gen_range(0.01..0.1)],
-            );
-            assert_eq!(median.query(&hs, &q), brute_force(&hs, &q), "box {q:?}");
-        }
-    }
-
-    #[test]
-    fn parallel_build_is_byte_identical_to_serial() {
-        use eclipse_exec::ThreadPool;
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(424242);
-        // Enough hyperplanes that the root frontier crosses the parallel
-        // partitioning threshold.
-        let hs: Vec<Hyperplane> = (0..5000)
-            .map(|_| {
-                line(
-                    rng.gen_range(-1.0..1.0),
-                    rng.gen_range(-1.0..1.0),
-                    rng.gen_range(-1.0..1.0),
-                )
-            })
-            .collect();
-        let root = BoundingBox::new(vec![-1.0, -1.0], vec![1.0, 1.0]);
-        for cut in [CutRule::SampledCrossings, CutRule::MedianExtents] {
-            let cfg = CuttingTreeConfig {
-                max_capacity: 16,
-                max_depth: 14,
-                cut,
-                ..CuttingTreeConfig::default()
-            };
-            let serial = CuttingTree::build(&hs, root.clone(), cfg);
-            let pool = ThreadPool::with_threads(4);
-            let parallel = CuttingTree::build_from_slab_with(
-                HyperplaneSlab::from_hyperplanes(&hs),
-                root.clone(),
-                cfg,
-                Some(&pool),
-            );
-            let (mut a, mut b) = (Vec::new(), Vec::new());
-            serial.encode_into(&mut a);
-            parallel.encode_into(&mut b);
-            assert_eq!(a, b, "cut rule {cut:?}");
-        }
-    }
-
-    #[test]
-    fn identical_hyperplanes_do_not_recurse_forever() {
-        // Every hyperplane is the same: no cut can separate them; the builder
-        // must terminate with a single (oversized) leaf rather than recursing.
-        let hs: Vec<Hyperplane> = (0..32).map(|_| line(1.0, -1.0, 0.0)).collect();
-        let cfg = CuttingTreeConfig {
-            max_capacity: 2,
-            max_depth: 64,
-            ..CuttingTreeConfig::default()
-        };
-        let tree = CuttingTree::build(&hs, unit_box(), cfg);
-        let q = BoundingBox::new(vec![0.2, 0.2], vec![0.8, 0.8]);
-        assert_eq!(tree.query(&hs, &q).len(), 32);
-    }
 }

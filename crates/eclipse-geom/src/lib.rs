@@ -10,8 +10,9 @@
 //!   the paper,
 //! * [`arrangement`] — the 2-D arrangement of dual lines (intersection
 //!   abscissae, interval partition of the x-axis),
-//! * [`quadtree`] — the line quadtree / hyperplane octree Intersection Index,
-//! * [`cutting`] — the randomized cutting-tree Intersection Index,
+//! * [`arena`] — the arena Intersection Index: one tree, split either as the
+//!   line quadtree / hyperplane octree ([`quadtree`], the paper's QUAD) or as
+//!   the cutting tree ([`cutting`], the paper's CUTTING),
 //! * [`rtree`] — an STR bulk-loaded R-tree with best-first kNN search,
 //! * [`linalg`] — small dense linear algebra (rank, solve) for the
 //!   domination-vector matrices of Theorem 6,
@@ -25,6 +26,7 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod approx;
+pub mod arena;
 pub mod arrangement;
 pub mod cutting;
 pub mod dual;

@@ -1,9 +1,9 @@
-//! Reusable traversal state for the arena-based intersection indexes.
+//! Reusable traversal state for the arena intersection index.
 //!
-//! Both [`crate::quadtree::HyperplaneQuadtree`] and
-//! [`crate::cutting::CuttingTree`] walk their node arenas iteratively with an
-//! explicit stack and deduplicate reported hyperplanes with a visited bitmap
-//! (a hyperplane crossing many cells is stored in many leaves).  A
+//! [`crate::arena::ArenaTree`] — QUAD and CUTTING alike — walks its node
+//! arena iteratively with an explicit stack and deduplicates reported
+//! hyperplanes with a visited bitmap (a hyperplane crossing many cells is
+//! stored in many nodes).  A
 //! [`TraversalScratch`] owns both buffers so a steady-state probe performs no
 //! heap allocations: the stack and bitmap are reused at their high-water
 //! capacity, and the bitmap is left all-zero after every query by clearing

@@ -9,29 +9,23 @@
 //! here as a changed constant.
 
 use eclipse_exec::ThreadPool;
-use eclipse_geom::cutting::{CutRule, CuttingTree, CuttingTreeConfig};
+use eclipse_geom::arena::{ArenaTree, SplitPolicy};
+use eclipse_geom::cutting::{CutRule, CuttingTreeConfig};
 use eclipse_geom::hyperplane::{Hyperplane, HyperplaneSlab};
 use eclipse_geom::point::BoundingBox;
-use eclipse_geom::quadtree::{HyperplaneQuadtree, QuadtreeConfig, SplitRule};
+use eclipse_geom::quadtree::{QuadtreeConfig, SplitRule};
 use rand::{Rng, SeedableRng};
 
-/// One tree configuration of the matrix.
-#[derive(Clone, Copy, Debug)]
-enum Rule {
-    Quad(QuadtreeConfig),
-    Cutting(CuttingTreeConfig),
-}
-
-fn quad(split: SplitRule) -> Rule {
-    Rule::Quad(QuadtreeConfig {
+fn quad(split: SplitRule) -> SplitPolicy {
+    SplitPolicy::Quad(QuadtreeConfig {
         max_capacity: 4,
         split,
         ..QuadtreeConfig::default()
     })
 }
 
-fn cutting(cut: CutRule) -> Rule {
-    Rule::Cutting(CuttingTreeConfig {
+fn cutting(cut: CutRule) -> SplitPolicy {
+    SplitPolicy::Cutting(CuttingTreeConfig {
         max_capacity: 4,
         cut,
         ..CuttingTreeConfig::default()
@@ -40,7 +34,7 @@ fn cutting(cut: CutRule) -> Rule {
 
 /// The four named configurations: QUAD Midpoint/Hybrid, CUTTING
 /// SampledCrossings/MedianExtents.
-fn all_rules() -> [Rule; 4] {
+fn all_rules() -> [SplitPolicy; 4] {
     [
         quad(SplitRule::Midpoint),
         quad(SplitRule::Hybrid),
@@ -50,19 +44,10 @@ fn all_rules() -> [Rule; 4] {
 }
 
 /// Builds `rule` over `hs` on `pool` and returns the arena's snapshot bytes.
-fn encode(rule: Rule, hs: &[Hyperplane], root: &BoundingBox, pool: &ThreadPool) -> Vec<u8> {
+fn encode(rule: SplitPolicy, hs: &[Hyperplane], root: &BoundingBox, pool: &ThreadPool) -> Vec<u8> {
     let slab = HyperplaneSlab::from_hyperplanes(hs);
     let mut bytes = Vec::new();
-    match rule {
-        Rule::Quad(cfg) => {
-            HyperplaneQuadtree::build_from_slab_with(slab, root.clone(), cfg, Some(pool))
-                .encode_into(&mut bytes)
-        }
-        Rule::Cutting(cfg) => {
-            CuttingTree::build_from_slab_with(slab, root.clone(), cfg, Some(pool))
-                .encode_into(&mut bytes)
-        }
-    }
+    ArenaTree::build_from_slab_with(slab, root.clone(), rule, Some(pool)).encode_into(&mut bytes);
     bytes
 }
 
@@ -114,7 +99,13 @@ fn square(k: usize) -> BoundingBox {
 }
 
 /// Asserts each rule's arena over `hs` against its pin, built serially.
-fn check(name: &str, rules: &[Rule], hs: &[Hyperplane], root: &BoundingBox, pins: &[(usize, u64)]) {
+fn check(
+    name: &str,
+    rules: &[SplitPolicy],
+    hs: &[Hyperplane],
+    root: &BoundingBox,
+    pins: &[(usize, u64)],
+) {
     let serial = ThreadPool::with_threads(1);
     let got: Vec<(usize, u64)> = rules
         .iter()
@@ -169,14 +160,14 @@ fn clustered_builds_under_every_rule() {
 
 #[test]
 fn node_capped_builds_under_every_rule() {
-    let capped: Vec<Rule> = all_rules()
+    let capped: Vec<SplitPolicy> = all_rules()
         .into_iter()
         .map(|rule| match rule {
-            Rule::Quad(cfg) => Rule::Quad(QuadtreeConfig {
+            SplitPolicy::Quad(cfg) => SplitPolicy::Quad(QuadtreeConfig {
                 max_nodes: 40,
                 ..cfg
             }),
-            Rule::Cutting(cfg) => Rule::Cutting(CuttingTreeConfig {
+            SplitPolicy::Cutting(cfg) => SplitPolicy::Cutting(CuttingTreeConfig {
                 max_nodes: 40,
                 ..cfg
             }),
@@ -201,7 +192,7 @@ fn hybrid_takes_the_midpoint_fallback_under_a_small_entry_budget() {
     let hs = pencil_rows();
     let root = BoundingBox::new(vec![0.0, 0.0], vec![1.0, 1.0]);
     let budget = |split| {
-        Rule::Quad(QuadtreeConfig {
+        SplitPolicy::Quad(QuadtreeConfig {
             max_capacity: 2,
             max_entries: 2000,
             split,
@@ -226,15 +217,15 @@ fn serial_and_pooled_builds_over_the_planning_threshold() {
     // which split planning moves onto the pool.
     let hs = random_rows(14, 5000, 2);
     let root = square(2);
-    let rules: Vec<Rule> = all_rules()
+    let rules: Vec<SplitPolicy> = all_rules()
         .into_iter()
         .map(|rule| match rule {
-            Rule::Quad(cfg) => Rule::Quad(QuadtreeConfig {
+            SplitPolicy::Quad(cfg) => SplitPolicy::Quad(QuadtreeConfig {
                 max_capacity: 16,
                 max_depth: 10,
                 ..cfg
             }),
-            Rule::Cutting(cfg) => Rule::Cutting(CuttingTreeConfig {
+            SplitPolicy::Cutting(cfg) => SplitPolicy::Cutting(CuttingTreeConfig {
                 max_capacity: 16,
                 max_depth: 14,
                 ..cfg

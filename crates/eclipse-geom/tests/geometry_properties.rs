@@ -5,13 +5,14 @@
 use proptest::prelude::*;
 
 use eclipse_exec::ThreadPool;
-use eclipse_geom::cutting::{CutRule, CuttingTree, CuttingTreeConfig};
+use eclipse_geom::arena::{ArenaTree, SplitPolicy};
+use eclipse_geom::cutting::{CutRule, CuttingTreeConfig};
 use eclipse_geom::dual::{score, score_difference_hyperplane, DualHyperplane};
 use eclipse_geom::hyperplane::{DualLine, Hyperplane, HyperplaneSlab};
 use eclipse_geom::linalg::Matrix;
 use eclipse_geom::lp::{Constraint, LinearProgram, LpOutcome};
 use eclipse_geom::point::{BoundingBox, Point};
-use eclipse_geom::quadtree::{HyperplaneQuadtree, QuadtreeConfig, SplitRule};
+use eclipse_geom::quadtree::{QuadtreeConfig, SplitRule};
 use eclipse_geom::traverse::TraversalScratch;
 
 fn point_strategy(d: usize) -> impl Strategy<Value = Point> {
@@ -185,15 +186,15 @@ proptest! {
         let expected: Vec<usize> = (0..hs.len())
             .filter(|&i| hs[i].intersects_box(&query))
             .collect();
-        let quad = HyperplaneQuadtree::build(
+        let quad = ArenaTree::build(
             &hs,
             root.clone(),
-            QuadtreeConfig { max_capacity: cap, ..QuadtreeConfig::default() },
+            SplitPolicy::Quad(QuadtreeConfig { max_capacity: cap, ..QuadtreeConfig::default() }),
         );
-        let cut = CuttingTree::build(
+        let cut = ArenaTree::build(
             &hs,
             root,
-            CuttingTreeConfig { max_capacity: cap, ..CuttingTreeConfig::default() },
+            SplitPolicy::Cutting(CuttingTreeConfig { max_capacity: cap, ..CuttingTreeConfig::default() }),
         );
         prop_assert_eq!(quad.query(&hs, &query), expected.clone());
         prop_assert_eq!(cut.query(&hs, &query), expected.clone());
@@ -250,53 +251,35 @@ proptest! {
         // drawn pair is tight enough that the clustered bundle truncates a
         // level mid-chunk.
         for (nodes_budget, entries_budget) in [(usize::MAX, usize::MAX), (max_nodes, max_entries)] {
+            let mut policies = Vec::new();
             for split in [SplitRule::Midpoint, SplitRule::Hybrid] {
                 let mut config =
                     QuadtreeConfig { max_capacity: cap, split, ..QuadtreeConfig::default() };
                 config.max_nodes = config.max_nodes.min(nodes_budget);
                 config.max_entries = config.max_entries.min(entries_budget);
-                let mut bytes = Vec::new();
-                HyperplaneQuadtree::build_from_slab_with(
-                    HyperplaneSlab::from_hyperplanes(&hs),
-                    root.clone(),
-                    config,
-                    Some(&single),
-                )
-                .encode_into(&mut bytes);
-                let mut par_bytes = Vec::new();
-                HyperplaneQuadtree::build_from_slab_with(
-                    HyperplaneSlab::from_hyperplanes(&hs),
-                    root.clone(),
-                    config,
-                    Some(&quad_pool),
-                )
-                .encode_into(&mut par_bytes);
-                prop_assert_eq!(&bytes, &par_bytes, "quadtree {:?} budgets {:?}",
-                    split, (nodes_budget, entries_budget));
+                policies.push(SplitPolicy::Quad(config));
             }
             for cut in [CutRule::SampledCrossings, CutRule::MedianExtents] {
                 let mut config =
                     CuttingTreeConfig { max_capacity: cap, cut, ..CuttingTreeConfig::default() };
                 config.max_nodes = config.max_nodes.min(nodes_budget);
                 config.max_entries = config.max_entries.min(entries_budget);
-                let mut bytes = Vec::new();
-                CuttingTree::build_from_slab_with(
-                    HyperplaneSlab::from_hyperplanes(&hs),
-                    root.clone(),
-                    config,
-                    Some(&single),
-                )
-                .encode_into(&mut bytes);
-                let mut par_bytes = Vec::new();
-                CuttingTree::build_from_slab_with(
-                    HyperplaneSlab::from_hyperplanes(&hs),
-                    root.clone(),
-                    config,
-                    Some(&quad_pool),
-                )
-                .encode_into(&mut par_bytes);
-                prop_assert_eq!(&bytes, &par_bytes, "cutting {:?} budgets {:?}",
-                    cut, (nodes_budget, entries_budget));
+                policies.push(SplitPolicy::Cutting(config));
+            }
+            for policy in policies {
+                let encode = |pool: &ThreadPool| {
+                    let mut bytes = Vec::new();
+                    ArenaTree::build_from_slab_with(
+                        HyperplaneSlab::from_hyperplanes(&hs),
+                        root.clone(),
+                        policy,
+                        Some(pool),
+                    )
+                    .encode_into(&mut bytes);
+                    bytes
+                };
+                prop_assert_eq!(encode(&single), encode(&quad_pool), "{:?} budgets {:?}",
+                    policy, (nodes_budget, entries_budget));
             }
         }
     }

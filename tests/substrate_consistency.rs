@@ -6,11 +6,12 @@
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
-use eclipse_geom::cutting::{CuttingTree, CuttingTreeConfig};
+use eclipse_geom::arena::{ArenaTree, SplitPolicy};
+use eclipse_geom::cutting::CuttingTreeConfig;
 use eclipse_geom::dual::score_difference_hyperplane;
 use eclipse_geom::hyperplane::Hyperplane;
 use eclipse_geom::point::{BoundingBox, Point};
-use eclipse_geom::quadtree::{HyperplaneQuadtree, QuadtreeConfig};
+use eclipse_geom::quadtree::QuadtreeConfig;
 use eclipse_geom::rtree::RTree;
 use eclipse_skyline::dominance::skyline_naive;
 use eclipse_skyline::{skyline_bnl, skyline_dc, skyline_sfs};
@@ -58,8 +59,16 @@ proptest! {
         let expected: Vec<usize> = (0..planes.len())
             .filter(|&i| planes[i].intersects_box(&query))
             .collect();
-        let quad = HyperplaneQuadtree::build(&planes, root.clone(), QuadtreeConfig::default());
-        let cut = CuttingTree::build(&planes, root, CuttingTreeConfig::default());
+        let quad = ArenaTree::build(
+            &planes,
+            root.clone(),
+            SplitPolicy::Quad(QuadtreeConfig::default()),
+        );
+        let cut = ArenaTree::build(
+            &planes,
+            root,
+            SplitPolicy::Cutting(CuttingTreeConfig::default()),
+        );
         prop_assert_eq!(quad.query(&planes, &query), expected.clone());
         prop_assert_eq!(cut.query(&planes, &query), expected);
     }
