@@ -44,7 +44,7 @@ use serde::{Deserialize, Serialize};
 use crate::approx::EPS;
 use crate::cutting::{CutRule, CuttingTreeConfig};
 use crate::hyperplane::{Hyperplane, HyperplaneSlab};
-use crate::point::BoundingBox;
+use crate::point::{BoundingBox, Point};
 use crate::quadtree::{QuadtreeConfig, SplitRule};
 use crate::traverse::{classify_cell, CellRelation, TraversalScratch};
 
@@ -867,7 +867,7 @@ pub(crate) fn interior_crossing(
     e: u32,
     axis: usize,
     cell: &BoundingBox,
-    center: &crate::point::Point,
+    center: &Point,
 ) -> Option<f64> {
     let row = slab.coeffs_row(e as usize);
     let coeff = row[axis];
