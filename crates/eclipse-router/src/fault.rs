@@ -15,12 +15,16 @@
 //! This lives in the library (not `#[cfg(test)]`) so the integration
 //! suites and the failover benchmark drive the same machinery.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+use eclipse_serve::protocol::write_frame;
+
+use crate::router::FrameReader;
 
 /// What one proxied connection does to the traffic passing through it.
 /// All counters are 1-based frame ordinals; `None` disables that fault.
@@ -184,14 +188,14 @@ fn forward_requests(
     client: &TcpStream,
     server: &TcpStream,
     plan: &FaultPlan,
-    offline: &Arc<AtomicBool>,
-    stop: &Arc<AtomicBool>,
+    offline: &AtomicBool,
+    stop: &AtomicBool,
 ) -> io::Result<()> {
     let mut reader = FrameReader::new(client.try_clone()?);
     let mut server_w = server.try_clone()?;
     let mut requests_seen = 0u64;
     loop {
-        let frame = match reader.next_frame(offline, stop) {
+        let frame = match reader.next_frame(&[offline, stop]) {
             Ok(Some(frame)) => frame,
             Ok(None) | Err(_) => return Ok(()),
         };
@@ -203,7 +207,7 @@ fn forward_requests(
             let _ = server.shutdown(Shutdown::Both);
             return Ok(());
         }
-        server_w.write_all(&frame)?;
+        write_frame(&mut server_w, &frame)?;
         server_w.flush()?;
     }
 }
@@ -212,18 +216,18 @@ fn forward_responses(
     server: TcpStream,
     client: TcpStream,
     plan: &FaultPlan,
-    offline: &Arc<AtomicBool>,
-    stop: &Arc<AtomicBool>,
+    offline: &AtomicBool,
+    stop: &AtomicBool,
 ) -> io::Result<()> {
     let mut reader = FrameReader::new(server.try_clone()?);
     let mut client_w = client.try_clone()?;
     let mut responses_seen = 0u64;
     let mut black_holed = false;
-    // Requests forwarded is tracked on the other thread; the black-hole
-    // trigger counts *responses* here, which for this FIFO protocol is the
-    // same ordinal stream.
+    // Requests forwarded are counted on the other thread; the black-hole
+    // trigger counts *responses* here.  Each request gets exactly one
+    // response, so the k-th response answers one of the first k requests.
     loop {
-        let mut frame = match reader.next_frame(offline, stop) {
+        let mut frame = match reader.next_frame(&[offline, stop]) {
             Ok(Some(frame)) => frame,
             Ok(None) | Err(_) => return Ok(()),
         };
@@ -240,87 +244,21 @@ fn forward_responses(
             // Swallow silently; keep draining upstream so it never blocks.
             continue;
         }
-        if plan.garbage_response_at == Some(responses_seen) && frame.len() > 4 {
+        if plan.garbage_response_at == Some(responses_seen) {
             // Keep the honest length prefix; trash the payload with a tag
             // no decoder accepts.
-            for byte in &mut frame[4..] {
-                *byte = 0x7f;
-            }
+            frame.fill(0x7f);
         }
         if plan.reset_mid_frame_at == Some(responses_seen) {
-            let half = 4 + (frame.len() - 4) / 2;
-            let _ = client_w.write_all(&frame[..half]);
+            let mut wire = Vec::with_capacity(4 + frame.len());
+            write_frame(&mut wire, &frame)?;
+            let _ = client_w.write_all(&wire[..4 + frame.len() / 2]);
             let _ = client_w.flush();
             let _ = client.shutdown(Shutdown::Both);
             let _ = server.shutdown(Shutdown::Both);
             return Ok(());
         }
-        client_w.write_all(&frame)?;
+        write_frame(&mut client_w, &frame)?;
         client_w.flush()?;
-    }
-}
-
-/// Accumulating frame reader over a timeout socket: returns complete
-/// frames (length prefix included), checking the offline/stop flags
-/// between reads so a toggled proxy reacts within one timeout tick.
-struct FrameReader {
-    stream: TcpStream,
-    buf: Vec<u8>,
-    pos: usize,
-}
-
-impl FrameReader {
-    fn new(stream: TcpStream) -> FrameReader {
-        FrameReader {
-            stream,
-            buf: Vec::new(),
-            pos: 0,
-        }
-    }
-
-    /// `Ok(None)` = clean end (EOF, offline toggle, or stop).
-    fn next_frame(
-        &mut self,
-        offline: &Arc<AtomicBool>,
-        stop: &Arc<AtomicBool>,
-    ) -> io::Result<Option<Vec<u8>>> {
-        let mut scratch = [0u8; 16 << 10];
-        loop {
-            if let Some(frame) = self.take_buffered() {
-                return Ok(Some(frame));
-            }
-            if offline.load(Ordering::Acquire) || stop.load(Ordering::Acquire) {
-                let _ = self.stream.shutdown(Shutdown::Both);
-                return Ok(None);
-            }
-            match self.stream.read(&mut scratch) {
-                Ok(0) => return Ok(None),
-                Ok(n) => self.buf.extend_from_slice(&scratch[..n]),
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut
-                        || e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    fn take_buffered(&mut self) -> Option<Vec<u8>> {
-        let avail = self.buf.len() - self.pos;
-        if avail < 4 {
-            return None;
-        }
-        let len_bytes: [u8; 4] = self.buf[self.pos..self.pos + 4].try_into().ok()?;
-        let len = u32::from_le_bytes(len_bytes) as usize;
-        if avail < 4 + len {
-            return None;
-        }
-        let frame = self.buf[self.pos..self.pos + 4 + len].to_vec();
-        self.pos += 4 + len;
-        if self.pos == self.buf.len() {
-            self.buf.clear();
-            self.pos = 0;
-        }
-        Some(frame)
     }
 }

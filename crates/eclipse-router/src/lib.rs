@@ -3,7 +3,7 @@
 //! `eclipse-router` fronts N `eclipse-serve` backends behind the ordinary
 //! client wire protocol: clients connect to one address and the router
 //! places datasets (hash placement by default, probe-space partitioning
-//! for replicated datasets), scatters probe batches over pipelined v2
+//! for replicated datasets), scatters probe batches over pipelined
 //! backend connections, and merges replies in probe order.
 //!
 //! The crate is organized around four pieces:

@@ -1,5 +1,5 @@
 //! The shard router: speaks the eclipse-serve wire protocol to clients
-//! (v1 and `Hello`-negotiated v2), partitions datasets across N backend
+//! (a `Hello` first, then request-id framing), partitions datasets across N backend
 //! eclipse-serve processes, scatters probe batches over pipelined
 //! connections, and merges replies in probe order.
 //!
@@ -42,8 +42,8 @@ use std::time::{Duration, Instant};
 use eclipse_persist::fnv1a;
 use eclipse_serve::client::{Client, ClientError, PipelinedClient};
 use eclipse_serve::protocol::{
-    write_frame, FrameHeader, Request, Response, StatsReport, MAX_FRAME_LEN, MAX_PROTOCOL_VERSION,
-    PROTOCOL_V2,
+    handshake, take_frame, write_frame, FrameHeader, ProtocolError, ProtocolResult, Request,
+    Response, StatsReport, V2_HEADER_LEN,
 };
 
 use crate::health::{HealthMachine, HealthPolicy, HealthState, Transition};
@@ -377,9 +377,11 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     }
 }
 
-/// Client-facing framing, mirroring the server: the first frame decides
-/// (v1, or `Hello`-negotiated v2).  Requests are processed strictly in
-/// order; the parallelism lives in the scatter across backends.
+/// Client-facing serving, mirroring the server: the first frame must be a
+/// `Hello`, and every later frame carries a [`FrameHeader`].  A refused
+/// handshake or broken framing is answered with a typed error, then the
+/// connection closes.  Requests are processed strictly in order; the
+/// parallelism lives in the scatter across backends.
 fn serve_client(shared: &Arc<Shared>, stream: TcpStream) {
     if stream.set_nodelay(true).is_err() {
         return;
@@ -396,66 +398,53 @@ fn serve_client(shared: &Arc<Shared>, stream: TcpStream) {
         Ok(w) => io::BufWriter::new(w),
         Err(_) => return,
     };
-    let mut reader = ClientFrames::new(stream);
+    let mut reader = FrameReader::new(stream);
     let mut conns = BackendConns::default();
-    let mut v2 = false;
-    let mut fresh = true;
+    let mut greeted = false;
     let mut allow_partial = false;
     loop {
-        let payload = match reader.next_frame(&shared.stop) {
-            Ok(Some(payload)) => payload,
-            Ok(None) | Err(_) => return,
-        };
+        let frame = reader.next_frame(&[&shared.stop]);
         let read_at = Instant::now();
-        let (request_id, deadline_ms, body) = if v2 {
-            match FrameHeader::split(&payload) {
-                Ok((header, body)) => (header.request_id, header.deadline_ms, body),
-                Err(_) => return,
-            }
-        } else {
-            (0, 0, &payload[..])
-        };
-        let decoded = Request::decode(body);
-        // First frame: a Hello negotiates v2, anything else locks v1.
-        if fresh {
-            fresh = false;
-            if let Ok(Request::Hello {
-                max_version,
-                pipe_size,
-            }) = &decoded
-            {
-                let version = (*max_version).clamp(1, MAX_PROTOCOL_VERSION);
-                v2 = version >= PROTOCOL_V2;
-                let ack = Response::HelloAck {
-                    version,
-                    pipe_size: (*pipe_size).clamp(1, 128),
-                    max_frame_len: MAX_FRAME_LEN,
-                };
-                if write_frame(&mut writer, &ack.encode())
-                    .and_then(|()| writer.flush())
-                    .is_err()
-                {
-                    return;
+        // The reply, its request id, and whether the connection closes
+        // after it.
+        let (request_id, response, close) = match frame {
+            Ok(None) | Err(ProtocolError::Io(_)) => return,
+            // The length prefix itself is garbage: the stream can no
+            // longer be trusted.
+            Err(e) => (0, Response::Error(e.to_string()), true),
+            Ok(Some(payload)) if !greeted => match handshake(&payload, 128) {
+                Ok((_, ack)) => (0, ack, false),
+                Err(refusal) => (0, Response::Error(refusal), true),
+            },
+            Ok(Some(payload)) => match FrameHeader::split(&payload) {
+                Ok((header, body)) => {
+                    let response = match Request::decode(body) {
+                        Err(e) => Response::Error(format!("malformed request: {e}")),
+                        Ok(Request::Hello { .. }) => Response::Error(
+                            "Hello must be the first frame of a connection".to_string(),
+                        ),
+                        Ok(request) => {
+                            let deadline_ms = header.deadline_ms;
+                            let expired = deadline_ms > 0
+                                && read_at.elapsed()
+                                    >= Duration::from_millis(u64::from(deadline_ms));
+                            if expired {
+                                Response::Timeout { deadline_ms }
+                            } else {
+                                handle_request(shared, &mut conns, &mut allow_partial, request)
+                            }
+                        }
+                    };
+                    (header.request_id, response, false)
                 }
-                continue;
-            }
-        }
-        let response = match decoded {
-            Err(e) => Response::Error(format!("malformed request: {e}")),
-            Ok(Request::Hello { .. }) => {
-                Response::Error("Hello must be the first frame of a connection".to_string())
-            }
-            Ok(request) => {
-                let expired = deadline_ms > 0
-                    && read_at.elapsed() >= Duration::from_millis(u64::from(deadline_ms));
-                if expired {
-                    Response::Timeout { deadline_ms }
-                } else {
-                    handle_request(shared, &mut conns, &mut allow_partial, request)
+                Err(_) => {
+                    let short = format!("frame shorter than its {V2_HEADER_LEN}-byte header");
+                    (0, Response::Error(short), true)
                 }
-            }
+            },
         };
-        let wire = if v2 {
+        // Only the handshake's own reply (ack or refusal) is a bare body.
+        let payload = if greeted {
             FrameHeader {
                 request_id,
                 deadline_ms: 0,
@@ -464,81 +453,60 @@ fn serve_client(shared: &Arc<Shared>, stream: TcpStream) {
         } else {
             response.encode()
         };
-        if write_frame(&mut writer, &wire)
+        if write_frame(&mut writer, &payload)
             .and_then(|()| writer.flush())
             .is_err()
+            || close
         {
             return;
         }
+        greeted = true;
     }
 }
 
-/// Accumulating frame reader for the client-facing socket: timeouts
-/// between reads are polling ticks (stop-flag checks), not errors, and a
-/// frame split across reads is reassembled.
-struct ClientFrames {
+/// Accumulating frame reader over a socket with a read timeout: timeouts
+/// between reads are polling ticks that check the stop flags, and a frame
+/// split across reads is reassembled.  Serves the router's client side and
+/// both directions of the fault proxy.
+pub(crate) struct FrameReader {
     stream: TcpStream,
     buf: Vec<u8>,
     pos: usize,
 }
 
-impl ClientFrames {
-    fn new(stream: TcpStream) -> ClientFrames {
-        ClientFrames {
+impl FrameReader {
+    pub(crate) fn new(stream: TcpStream) -> FrameReader {
+        FrameReader {
             stream,
             buf: Vec::new(),
             pos: 0,
         }
     }
 
-    fn next_frame(&mut self, stop: &AtomicBool) -> io::Result<Option<Vec<u8>>> {
+    /// The next frame's payload; `Ok(None)` on EOF or once any `stop` flag
+    /// is set.
+    pub(crate) fn next_frame(&mut self, stop: &[&AtomicBool]) -> ProtocolResult<Option<Vec<u8>>> {
         let mut scratch = [0u8; 16 << 10];
         loop {
-            if let Some(frame) = self.take_buffered()? {
+            if let Some(frame) = take_frame(&mut self.buf, &mut self.pos)? {
                 return Ok(Some(frame));
             }
-            if stop.load(Ordering::Acquire) {
+            if stop.iter().any(|flag| flag.load(Ordering::Acquire)) {
                 return Ok(None);
             }
             match self.stream.read(&mut scratch) {
                 Ok(0) => return Ok(None),
                 Ok(n) => self.buf.extend_from_slice(&scratch[..n]),
                 Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut
-                        || e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock
+                            | io::ErrorKind::TimedOut
+                            | io::ErrorKind::Interrupted
+                    ) => {}
+                Err(e) => return Err(e.into()),
             }
         }
-    }
-
-    fn take_buffered(&mut self) -> io::Result<Option<Vec<u8>>> {
-        let avail = self.buf.len() - self.pos;
-        if avail < 4 {
-            return Ok(None);
-        }
-        let len_bytes: [u8; 4] = self.buf[self.pos..self.pos + 4]
-            .try_into()
-            .expect("4-byte slice");
-        let len = u32::from_le_bytes(len_bytes);
-        if len > MAX_FRAME_LEN {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "frame exceeds cap",
-            ));
-        }
-        let len = len as usize;
-        if avail < 4 + len {
-            return Ok(None);
-        }
-        let start = self.pos + 4;
-        let frame = self.buf[start..start + len].to_vec();
-        self.pos = start + len;
-        if self.pos == self.buf.len() {
-            self.buf.clear();
-            self.pos = 0;
-        }
-        Ok(Some(frame))
     }
 }
 

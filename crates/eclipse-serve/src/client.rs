@@ -1,11 +1,10 @@
 //! Clients for the eclipse-serve protocol: the pipelining
-//! [`PipelinedClient`] (protocol v2, up to `pipe_size` requests in flight,
-//! replies correlated by request id) and the original blocking [`Client`],
-//! now a depth-1 v1 wrapper over the same machinery — every pre-pipelining
-//! test and example keeps compiling and keeps exercising the server's v1
-//! fallback path.
+//! [`PipelinedClient`] (up to `pipe_size` requests in flight, replies
+//! correlated by request id) and the blocking [`Client`], a depth-1
+//! [`PipelinedClient`] with one typed method per request.  Both open with
+//! the `Hello` handshake.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -16,8 +15,7 @@ use eclipse_core::WeightRatioBox;
 
 use crate::protocol::{
     read_frame, write_frame, DatasetSummary, FrameHeader, IndexKind, IndexSummary, MutationAck,
-    ProtocolError, Request, Response, StatsReport, WireBox, MAX_PROTOCOL_VERSION, PROTOCOL_V1,
-    PROTOCOL_V2,
+    ProtocolError, Request, Response, StatsReport, WireBox, MAX_PROTOCOL_VERSION,
 };
 
 /// Everything a client call can fail with.
@@ -128,13 +126,8 @@ impl From<ProtocolError> for ClientError {
 pub type ClientResult<T> = std::result::Result<T, ClientError>;
 
 /// A pipelining connection: up to `pipe_size` requests in flight before the
-/// first response is read, replies correlated by request id.
-///
-/// [`PipelinedClient::connect`] performs the `Hello` handshake and speaks
-/// protocol v2 (out-of-order responses, per-request deadlines);
-/// [`PipelinedClient::connect_v1`] skips the handshake and pipelines over
-/// protocol v1, correlating FIFO — the server guarantees v1 responses in
-/// request order.
+/// first response is read, replies correlated by request id (they may
+/// arrive out of order), with optional per-request deadlines.
 ///
 /// # Example
 ///
@@ -152,11 +145,10 @@ pub type ClientResult<T> = std::result::Result<T, ClientError>;
 pub struct PipelinedClient {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
-    version: u32,
     pipe_size: u32,
     next_id: u64,
-    /// Ids in flight, in send order (v1 correlates FIFO against this).
-    pending: VecDeque<u64>,
+    /// Ids sent whose responses have not been read yet.
+    pending: HashSet<u64>,
     /// Responses read while waiting for a different id.
     ready: HashMap<u64, Response>,
     /// Frames written but not yet flushed.
@@ -169,12 +161,11 @@ impl PipelinedClient {
     /// value is [`PipelinedClient::pipe_size`].
     ///
     /// # Errors
-    /// Propagates socket errors; [`ClientError::UnexpectedResponse`] when
-    /// the peer does not acknowledge the handshake.
+    /// Propagates socket errors; [`ClientError::Server`] when the peer
+    /// refuses the handshake and [`ClientError::UnexpectedResponse`] when
+    /// it answers something else.
     pub fn connect(addr: impl ToSocketAddrs, pipe_size: u32) -> ClientResult<PipelinedClient> {
-        let mut client = Self::from_stream(TcpStream::connect(addr)?, 1)?;
-        client.handshake(pipe_size)?;
-        Ok(client)
+        Self::handshake(TcpStream::connect(addr)?, None, pipe_size)
     }
 
     /// [`PipelinedClient::connect`] with timeouts: the TCP connect itself,
@@ -192,80 +183,47 @@ impl PipelinedClient {
         pipe_size: u32,
         timeout: Duration,
     ) -> ClientResult<PipelinedClient> {
-        let mut client = Self::from_stream(connect_stream_timeout(addr, timeout)?, 1)?;
-        client.set_io_timeout(Some(timeout))?;
-        client.handshake(pipe_size)?;
-        Ok(client)
-    }
-
-    /// Connects without a handshake: protocol v1, FIFO correlation, still
-    /// pipelined up to `pipe_size` — exercises the server's v1 fallback.
-    ///
-    /// # Errors
-    /// Propagates socket errors.
-    pub fn connect_v1(addr: impl ToSocketAddrs, pipe_size: u32) -> ClientResult<PipelinedClient> {
-        Self::from_stream(TcpStream::connect(addr)?, pipe_size.max(1))
-    }
-
-    /// [`PipelinedClient::connect_v1`] with connect + read/write timeouts
-    /// (see [`PipelinedClient::connect_timeout`]).
-    ///
-    /// # Errors
-    /// As [`PipelinedClient::connect_v1`], plus
-    /// [`ClientError::SocketTimeout`].
-    pub fn connect_v1_timeout(
-        addr: impl ToSocketAddrs,
-        pipe_size: u32,
-        timeout: Duration,
-    ) -> ClientResult<PipelinedClient> {
-        let mut client =
-            Self::from_stream(connect_stream_timeout(addr, timeout)?, pipe_size.max(1))?;
-        client.set_io_timeout(Some(timeout))?;
-        Ok(client)
-    }
-
-    fn from_stream(stream: TcpStream, pipe_size: u32) -> ClientResult<PipelinedClient> {
-        stream.set_nodelay(true)?;
-        let reader = BufReader::new(stream.try_clone()?);
-        Ok(PipelinedClient {
-            reader,
-            writer: BufWriter::new(stream),
-            version: PROTOCOL_V1,
+        Self::handshake(
+            connect_stream_timeout(addr, timeout)?,
+            Some(timeout),
             pipe_size,
+        )
+    }
+
+    /// Sets up the buffered halves of `stream`, applies the I/O `timeout`,
+    /// and performs the `Hello` exchange, adopting the granted depth.
+    fn handshake(
+        stream: TcpStream,
+        timeout: Option<Duration>,
+        pipe_size: u32,
+    ) -> ClientResult<PipelinedClient> {
+        stream.set_nodelay(true)?;
+        let mut client = PipelinedClient {
+            reader: BufReader::new(stream.try_clone()?),
+            writer: BufWriter::new(stream),
+            pipe_size: 1,
             next_id: 0,
-            pending: VecDeque::new(),
+            pending: HashSet::new(),
             ready: HashMap::new(),
             needs_flush: false,
-        })
-    }
-
-    /// Performs the `Hello` exchange on a fresh connection, upgrading it to
-    /// the negotiated version and granted depth.
-    fn handshake(&mut self, pipe_size: u32) -> ClientResult<()> {
-        write_frame(
-            &mut self.writer,
-            &Request::Hello {
-                max_version: MAX_PROTOCOL_VERSION,
-                pipe_size,
+        };
+        client.set_io_timeout(timeout)?;
+        let hello = Request::Hello {
+            max_version: MAX_PROTOCOL_VERSION,
+            pipe_size,
+        };
+        write_frame(&mut client.writer, &hello.encode())?;
+        client.writer.flush()?;
+        let payload = read_frame(&mut client.reader)?.ok_or(ClientError::ConnectionClosed)?;
+        match Response::decode(&payload)? {
+            Response::HelloAck {
+                pipe_size: granted, ..
+            } => {
+                client.pipe_size = granted.max(1);
+                Ok(client)
             }
-            .encode(),
-        )?;
-        self.writer.flush()?;
-        match read_frame(&mut self.reader).map_err(ClientError::from)? {
-            None => Err(ClientError::ConnectionClosed),
-            Some(payload) => match Response::decode(&payload)? {
-                Response::HelloAck {
-                    version,
-                    pipe_size: granted,
-                    ..
-                } => {
-                    self.version = version;
-                    self.pipe_size = granted.max(1);
-                    Ok(())
-                }
-                Response::Error(m) => Err(ClientError::Server(m)),
-                _ => Err(ClientError::UnexpectedResponse("HelloAck")),
-            },
+            Response::Error(m) => Err(ClientError::Server(m)),
+            _ => Err(ClientError::UnexpectedResponse("HelloAck")),
         }
     }
 
@@ -281,11 +239,6 @@ impl PipelinedClient {
         self.reader.get_ref().set_read_timeout(timeout)?;
         self.writer.get_ref().set_write_timeout(timeout)?;
         Ok(())
-    }
-
-    /// The negotiated protocol version ([`PROTOCOL_V1`] or [`PROTOCOL_V2`]).
-    pub fn version(&self) -> u32 {
-        self.version
     }
 
     /// The granted pipeline depth.
@@ -313,36 +266,26 @@ impl PipelinedClient {
     /// deadline passes is answered with a typed timeout instead of running.
     ///
     /// # Errors
-    /// [`ClientError::InvalidRequest`] on a v1 connection with a nonzero
-    /// deadline (v1 frames have no deadline field); transport errors.
+    /// Propagates transport errors.
     pub fn submit_with_deadline(
         &mut self,
         request: &Request,
         deadline_ms: u32,
     ) -> ClientResult<u64> {
-        if deadline_ms > 0 && self.version < PROTOCOL_V2 {
-            return Err(ClientError::InvalidRequest(
-                "deadlines need protocol v2 (connect with a handshake)".to_string(),
-            ));
-        }
         while self.pending.len() >= self.pipe_size as usize {
             let (id, response) = self.read_one()?;
             self.ready.insert(id, response);
         }
         let id = self.next_id;
         self.next_id += 1;
-        let payload = if self.version >= PROTOCOL_V2 {
-            FrameHeader {
-                request_id: id,
-                deadline_ms,
-            }
-            .with_body(&request.encode())
-        } else {
-            request.encode()
-        };
+        let payload = FrameHeader {
+            request_id: id,
+            deadline_ms,
+        }
+        .with_body(&request.encode());
         write_frame(&mut self.writer, &payload)?;
         self.needs_flush = true;
-        self.pending.push_back(id);
+        self.pending.insert(id);
         Ok(id)
     }
 
@@ -396,32 +339,15 @@ impl PipelinedClient {
     }
 
     /// Reads the next response frame off the socket (flushing pending
-    /// writes first) and removes its id from the in-flight queue.
+    /// writes first) and removes its id from the in-flight set.
     fn read_one(&mut self) -> ClientResult<(u64, Response)> {
         if self.needs_flush {
-            self.writer.flush()?;
-            self.needs_flush = false;
+            self.flush()?;
         }
-        match read_frame(&mut self.reader).map_err(ClientError::from)? {
-            None => Err(ClientError::ConnectionClosed),
-            Some(payload) => {
-                let (id, response) = if self.version >= PROTOCOL_V2 {
-                    let (header, body) = FrameHeader::split(&payload)?;
-                    (header.request_id, Response::decode(body)?)
-                } else {
-                    let id = self.pending.front().copied().ok_or_else(|| {
-                        ClientError::InvalidRequest(
-                            "response received with no request in flight".to_string(),
-                        )
-                    })?;
-                    (id, Response::decode(&payload)?)
-                };
-                if let Some(pos) = self.pending.iter().position(|&p| p == id) {
-                    self.pending.remove(pos);
-                }
-                Ok((id, response))
-            }
-        }
+        let payload = read_frame(&mut self.reader)?.ok_or(ClientError::ConnectionClosed)?;
+        let (header, body) = FrameHeader::split(&payload)?;
+        self.pending.remove(&header.request_id);
+        Ok((header.request_id, Response::decode(body)?))
     }
 
     /// One request/response round trip through the pipeline machinery.
@@ -502,7 +428,6 @@ impl fmt::Debug for PipelinedClient {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("PipelinedClient")
             .field("peer", &self.reader.get_ref().peer_addr().ok())
-            .field("version", &self.version)
             .field("pipe_size", &self.pipe_size)
             .field("in_flight", &self.in_flight())
             .finish()
@@ -510,34 +435,33 @@ impl fmt::Debug for PipelinedClient {
 }
 
 /// A blocking connection to an eclipse-serve server: one request in flight
-/// at a time, responses in request order — a depth-1 protocol-v1 wrapper
-/// over [`PipelinedClient`], kept so every pre-pipelining caller compiles
-/// unchanged (and keeps the server's v1 fallback path covered).
+/// at a time — a depth-1 [`PipelinedClient`] with one typed method per
+/// request.
 pub struct Client {
     inner: PipelinedClient,
 }
 
 impl Client {
-    /// Connects to a server (no handshake: the connection speaks v1).
+    /// Connects to a server and performs the `Hello` handshake.
     ///
     /// # Errors
-    /// Propagates socket errors.
+    /// As [`PipelinedClient::connect`].
     pub fn connect(addr: impl ToSocketAddrs) -> ClientResult<Client> {
         Ok(Client {
-            inner: PipelinedClient::connect_v1(addr, 1)?,
+            inner: PipelinedClient::connect(addr, 1)?,
         })
     }
 
-    /// [`Client::connect`] with timeouts: the TCP connect and every
-    /// subsequent read/write give up after `timeout` with
-    /// [`ClientError::SocketTimeout`] instead of blocking indefinitely on
-    /// an unresponsive peer.
+    /// [`Client::connect`] with timeouts: the TCP connect, the `Hello`
+    /// handshake and every subsequent read/write give up after `timeout`
+    /// with [`ClientError::SocketTimeout`] instead of blocking indefinitely
+    /// on an unresponsive peer.
     ///
     /// # Errors
-    /// Propagates socket errors, plus [`ClientError::SocketTimeout`].
+    /// As [`PipelinedClient::connect_timeout`].
     pub fn connect_timeout(addr: impl ToSocketAddrs, timeout: Duration) -> ClientResult<Client> {
         Ok(Client {
-            inner: PipelinedClient::connect_v1_timeout(addr, 1, timeout)?,
+            inner: PipelinedClient::connect_timeout(addr, 1, timeout)?,
         })
     }
 

@@ -7,8 +7,7 @@
 //!
 //! ```text
 //! frame      := len:u32le payload[len]
-//! payload    := body                                        (protocol v1)
-//! payload    := request_id:u64le deadline_ms:u32le body     (protocol v2)
+//! payload    := request_id:u64le deadline_ms:u32le body
 //! body       := tag:u8 fields
 //! ```
 //!
@@ -19,15 +18,13 @@
 //! A `string` is `u32le` length + UTF-8 bytes; every list is `u32le`
 //! element count + elements.
 //!
-//! # Versions and the handshake
+//! # The handshake
 //!
-//! A connection starts in **protocol v1**: frames carry a bare body, one
-//! request is answered by one response, and responses arrive in request
-//! order.  A client that wants to pipeline sends [`Request::Hello`] as its
-//! **first** frame (still v1-framed); the server answers
-//! [`Response::HelloAck`] with the negotiated version and pipeline depth.
-//! When the negotiated version is [`PROTOCOL_V2`], every subsequent frame in
-//! both directions carries a 12-byte [`FrameHeader`] before the body:
+//! Every connection opens with [`Request::Hello`], the one frame whose
+//! payload is a bare body; the server answers [`Response::HelloAck`] (also
+//! bare) with the protocol version and the granted pipeline depth.  Every
+//! later frame in both directions carries the 12-byte [`FrameHeader`]
+//! before its body:
 //!
 //! * `request_id` — chosen by the client, echoed verbatim in the response,
 //!   so responses may return **out of order** and the client correlates by
@@ -38,10 +35,11 @@
 //!   [`Response::Timeout`] instead of being executed.  Responses always
 //!   carry 0.
 //!
-//! A client that never sends `Hello` keeps speaking v1 indefinitely — the
-//! server detects the mode from the first frame, and v1 responses are
-//! delivered strictly in request order even when the server completes them
-//! out of order internally.
+//! A first frame that is not a `Hello`, or a `Hello` whose `max_version`
+//! is below [`PROTOCOL_V2`], is refused by [`handshake`] with a bare
+//! [`Response::Error`], and the connection closes once it is flushed.  So
+//! does broken framing later on: an over-cap length prefix or a payload
+//! shorter than its header is answered with an `Error` for request id 0.
 //!
 //! # Robustness
 //!
@@ -61,20 +59,18 @@ use eclipse_core::index::IntersectionIndexKind;
 /// length prefix is rejected before any buffer is allocated.
 pub const MAX_FRAME_LEN: u32 = 1 << 26;
 
-/// The original protocol: bare bodies, strictly ordered responses.
-pub const PROTOCOL_V1: u32 = 1;
-
-/// The pipelined protocol: every frame carries a [`FrameHeader`]
-/// (request id + deadline) and responses may return out of order.
+/// The protocol: after the `Hello` exchange every frame carries a
+/// [`FrameHeader`] (request id + deadline) and responses may return out of
+/// order.
 pub const PROTOCOL_V2: u32 = 2;
 
 /// The newest protocol version this build speaks.
 pub const MAX_PROTOCOL_VERSION: u32 = PROTOCOL_V2;
 
-/// Byte length of the v2 per-frame header.
+/// Byte length of the per-frame header.
 pub const V2_HEADER_LEN: usize = 12;
 
-/// The per-frame header of a [`PROTOCOL_V2`] payload: the client-chosen
+/// The per-frame header of every post-handshake payload: the client-chosen
 /// request id (echoed in the response) and the relative request deadline in
 /// milliseconds (0 = no deadline; always 0 in responses).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -92,7 +88,7 @@ impl FrameHeader {
         buf.extend_from_slice(&self.deadline_ms.to_le_bytes());
     }
 
-    /// Splits a v2 payload into its header and the body bytes.
+    /// Splits a payload into its header and the body bytes.
     ///
     /// # Errors
     /// [`ProtocolError::Truncated`] when the payload is shorter than the
@@ -115,7 +111,7 @@ impl FrameHeader {
         ))
     }
 
-    /// Encodes a full v2 payload: this header followed by `body`.
+    /// Encodes a full payload: this header followed by `body`.
     pub fn with_body(&self, body: &[u8]) -> Vec<u8> {
         let mut buf = Vec::with_capacity(V2_HEADER_LEN + body.len());
         self.encode_into(&mut buf);
@@ -241,11 +237,11 @@ pub type WireBox = Vec<(f64, f64)>;
 #[derive(Clone, Debug, PartialEq)]
 pub enum Request {
     /// Version/pipelining handshake; must be the **first** frame of a
-    /// connection (v1-framed).  The server answers [`Response::HelloAck`]
-    /// with `version = min(max_version, MAX_PROTOCOL_VERSION)` and the
-    /// granted pipeline depth; every later frame then uses the negotiated
-    /// framing.  A `Hello` after the first frame is answered with an error
-    /// and the connection keeps its established mode.
+    /// connection, sent as a bare body.  The server answers
+    /// [`Response::HelloAck`] with `version = MAX_PROTOCOL_VERSION` and the
+    /// granted pipeline depth, or refuses a `max_version` below
+    /// [`PROTOCOL_V2`] (see [`handshake`]).  A `Hello` after the first frame
+    /// is answered with an error and the connection stays usable.
     Hello {
         /// Highest protocol version the client speaks.
         max_version: u32,
@@ -520,7 +516,7 @@ pub enum Response {
     /// Reply to [`Request::Hello`]: the negotiated protocol version, the
     /// granted pipeline depth, and the server's frame cap.
     HelloAck {
-        /// Negotiated version: `min(client max, MAX_PROTOCOL_VERSION)`.
+        /// The protocol version spoken from here on ([`PROTOCOL_V2`]).
         version: u32,
         /// Granted per-connection pipeline depth (in-flight requests).
         pipe_size: u32,
@@ -656,6 +652,74 @@ pub fn read_frame<R: Read>(r: &mut R) -> ProtocolResult<Option<Vec<u8>>> {
     let mut payload = vec![0u8; len as usize];
     r.read_exact(&mut payload)?;
     Ok(Some(payload))
+}
+
+/// Splits the next complete frame off an accumulating read buffer: the
+/// bytes `buf[*pos..]` are unparsed, and a returned payload advances `*pos`
+/// past its frame.  `Ok(None)` means more bytes are needed.  Consumed bytes
+/// are released once the buffer is empty or the consumed prefix grows past
+/// 64 KiB, so a reader that keeps a partial frame buffered cannot grow
+/// without bound.
+///
+/// This is the splitter for readers that must not block on a whole frame
+/// (non-blocking sockets, or read timeouts used as polling ticks);
+/// blocking readers use [`read_frame`].
+///
+/// # Errors
+/// [`ProtocolError::FrameTooLarge`] when the length prefix exceeds
+/// [`MAX_FRAME_LEN`]: the stream can no longer be trusted.
+pub fn take_frame(buf: &mut Vec<u8>, pos: &mut usize) -> ProtocolResult<Option<Vec<u8>>> {
+    const COMPACT_AT: usize = 64 << 10;
+    let avail = &buf[*pos..];
+    let Some(len_bytes) = avail.get(..4) else {
+        return Ok(None);
+    };
+    let len = u32::from_le_bytes(len_bytes.try_into().expect("4-byte slice"));
+    if len > MAX_FRAME_LEN {
+        return Err(ProtocolError::FrameTooLarge(len));
+    }
+    let Some(payload) = avail.get(4..4 + len as usize) else {
+        return Ok(None);
+    };
+    let payload = payload.to_vec();
+    *pos += 4 + payload.len();
+    if *pos == buf.len() {
+        buf.clear();
+        *pos = 0;
+    } else if *pos > COMPACT_AT {
+        buf.drain(..*pos);
+        *pos = 0;
+    }
+    Ok(Some(payload))
+}
+
+/// Answers a connection's first frame, which must be a bare
+/// [`Request::Hello`] with `max_version` of at least [`PROTOCOL_V2`].
+/// Returns the granted pipeline depth (the requested one clamped to
+/// `1..=max_pipeline`) with the [`Response::HelloAck`] to send.
+///
+/// # Errors
+/// The refusal message, to send as a [`Response::Error`] before closing
+/// the connection.
+pub fn handshake(first_frame: &[u8], max_pipeline: u32) -> Result<(u32, Response), String> {
+    match Request::decode(first_frame) {
+        Ok(Request::Hello {
+            max_version,
+            pipe_size,
+        }) if max_version >= PROTOCOL_V2 => {
+            let granted = pipe_size.clamp(1, max_pipeline.max(1));
+            let ack = Response::HelloAck {
+                version: MAX_PROTOCOL_VERSION,
+                pipe_size: granted,
+                max_frame_len: MAX_FRAME_LEN,
+            };
+            Ok((granted, ack))
+        }
+        Ok(Request::Hello { max_version, .. }) => Err(format!(
+            "Hello offers protocol version {max_version}; version {PROTOCOL_V2} is required"
+        )),
+        _ => Err("first frame must be Hello".to_string()),
+    }
 }
 
 // --- encoding --------------------------------------------------------------
@@ -1473,6 +1537,57 @@ mod tests {
         // A stream that dies inside the prefix is an I/O error, not a hang.
         let mut cursor = &[0x01u8, 0x02][..];
         assert!(matches!(read_frame(&mut cursor), Err(ProtocolError::Io(_))));
+    }
+
+    #[test]
+    fn take_frame_reassembles_split_frames_and_rejects_oversize() {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, b"first").unwrap();
+        write_frame(&mut wire, b"").unwrap();
+        write_frame(&mut wire, b"third").unwrap();
+
+        // Fed one byte at a time, every frame comes out whole and in order.
+        let (mut buf, mut pos) = (Vec::new(), 0);
+        let mut frames = Vec::new();
+        for &byte in &wire {
+            buf.push(byte);
+            while let Some(frame) = take_frame(&mut buf, &mut pos).unwrap() {
+                frames.push(frame);
+            }
+        }
+        assert_eq!(frames, [&b"first"[..], b"", b"third"]);
+        assert_eq!((buf.len(), pos), (0, 0), "consumed bytes are released");
+
+        let mut buf = (MAX_FRAME_LEN + 1).to_le_bytes().to_vec();
+        assert!(matches!(
+            take_frame(&mut buf, &mut 0),
+            Err(ProtocolError::FrameTooLarge(_))
+        ));
+    }
+
+    #[test]
+    fn handshake_grants_a_clamped_depth_and_refuses_everything_else() {
+        let hello = |max_version, pipe_size| {
+            Request::Hello {
+                max_version,
+                pipe_size,
+            }
+            .encode()
+        };
+        let (granted, ack) = handshake(&hello(PROTOCOL_V2, 64), 8).unwrap();
+        assert_eq!(granted, 8);
+        assert_eq!(
+            ack,
+            Response::HelloAck {
+                version: PROTOCOL_V2,
+                pipe_size: 8,
+                max_frame_len: MAX_FRAME_LEN,
+            }
+        );
+        assert_eq!(handshake(&hello(u32::MAX, 0), 8).unwrap().0, 1);
+        for refused in [hello(1, 4), hello(0, 4), Request::Ping.encode(), vec![0xee]] {
+            assert!(handshake(&refused, 8).is_err());
+        }
     }
 
     #[test]

@@ -976,8 +976,8 @@ pub struct SnapshotScan {
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
     /// Per-connection in-flight cap: the largest pipeline depth a `Hello`
-    /// can negotiate (v1 connections get the full cap).  Requests over the
-    /// cap are answered with [`Response::Overloaded`].
+    /// can negotiate.  Requests over the cap are answered with
+    /// [`Response::Overloaded`].
     pub max_pipeline: u32,
     /// Global in-flight cap across all connections; requests over it are
     /// answered with [`Response::Overloaded`].

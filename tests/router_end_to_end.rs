@@ -1,6 +1,6 @@
 //! End-to-end tests of the healthy-path shard router: hash placement,
 //! replicated probe-space partitioning, merged stats/snapshot surfaces,
-//! and both protocol generations on the client side — always asserting
+//! and both the blocking and the pipelined client — always asserting
 //! the routed results are byte-identical to a single-process run.
 
 mod common;

@@ -104,7 +104,6 @@ fn pipelined_depths_match_blocking_at_1_and_4_threads() {
 
         for depth in [1u32, 8, 64] {
             let mut piped = PipelinedClient::connect(addr, depth).unwrap();
-            assert_eq!(piped.version(), PROTOCOL_V2);
             assert_eq!(piped.pipe_size(), depth);
             assert_eq!(
                 piped.query_many("inde", &probes, 1).unwrap(),
@@ -121,12 +120,13 @@ fn pipelined_depths_match_blocking_at_1_and_4_threads() {
     }
 }
 
-/// v1 clients may pipeline too: the server guarantees response order even
-/// when four dispatcher workers finish requests out of submission order
-/// (the per-connection reorder buffer).  Interleaving query and count
-/// requests makes any ordering slip show up as an `UnexpectedResponse`.
+/// Four dispatcher workers finish requests out of submission order and the
+/// server writes replies as they complete; the client must still hand every
+/// caller the reply to its own request.  Interleaving heavy counts with
+/// light queries makes any correlation slip show up as a reply of the wrong
+/// kind or with the wrong contents.
 #[test]
-fn v1_pipelining_preserves_request_order() {
+fn pipelined_replies_are_correlated_by_request_id() {
     let points = dataset();
     let (handle, addr) = spawn_server(
         ExecutionContext::with_threads(4),
@@ -141,11 +141,13 @@ fn v1_pipelining_preserves_request_order() {
     oracle.build_index(IntersectionIndexKind::Quadtree).unwrap();
     let oracle = Arc::new(oracle);
 
-    let mut client = PipelinedClient::connect_v1(addr, 8).unwrap();
+    let mut client = PipelinedClient::connect(addr, 8).unwrap();
+    assert_eq!(client.pipe_size(), 8);
     let mut ids = Vec::new();
     for i in 0..40usize {
         // Even slots are heavy counts, odd slots light queries — the light
-        // ones complete first server-side, so FIFO delivery is doing work.
+        // ones complete first server-side, so the replies arrive out of
+        // submission order and only the request id pairs them up.
         let request = if i % 2 == 0 {
             Request::CountBatch {
                 name: "inde".to_string(),
@@ -180,7 +182,7 @@ fn v1_pipelining_preserves_request_order() {
                     .collect();
                 assert_eq!(rows, expected, "slot {i}");
             }
-            other => panic!("slot {i}: response out of order: {other:?}"),
+            other => panic!("slot {i}: reply for another request: {other:?}"),
         }
     }
     handle.shutdown();
@@ -188,7 +190,7 @@ fn v1_pipelining_preserves_request_order() {
 
 /// The handshake clamps the requested depth to the server's cap, and a
 /// `Hello` after the first frame is a typed error that leaves the
-/// connection in its established mode.
+/// connection usable.
 #[test]
 fn hello_negotiation_clamps_depth_and_rejects_midstream_hello() {
     let (handle, addr) = spawn_server(
@@ -200,7 +202,6 @@ fn hello_negotiation_clamps_depth_and_rejects_midstream_hello() {
     );
 
     let mut client = PipelinedClient::connect(addr, 64).unwrap();
-    assert_eq!(client.version(), PROTOCOL_V2);
     assert_eq!(client.pipe_size(), 4, "requested 64, server cap is 4");
 
     let err = client
@@ -254,22 +255,6 @@ fn deadline_expiry_is_typed_and_connection_survives() {
         }
         other => panic!("expected stats, got {other:?}"),
     }
-    handle.shutdown();
-}
-
-/// Deadlines are a v2 feature: a v1 connection rejects them client-side
-/// before anything reaches the wire.
-#[test]
-fn v1_connection_rejects_deadlines_client_side() {
-    let (handle, addr) = spawn_server(ExecutionContext::serial(), ServerConfig::default());
-    let mut client = PipelinedClient::connect_v1(addr, 4).unwrap();
-    let err = client.submit_with_deadline(&Request::Ping, 5).unwrap_err();
-    assert!(matches!(err, ClientError::InvalidRequest(_)));
-    // Nothing was sent; the connection still works.
-    assert!(matches!(
-        client.call(&Request::Ping).unwrap(),
-        Response::Pong
-    ));
     handle.shutdown();
 }
 
