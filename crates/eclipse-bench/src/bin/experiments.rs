@@ -1281,11 +1281,10 @@ const PRE_PARALLEL_BUILD_SECS: [(&str, &str, usize, f64); 8] = [
 /// BENCH_build.json next to the CSVs (or into the current directory without
 /// `--out`).
 fn build_sweep(opts: &Options) -> Vec<(String, (String, ResultTable))> {
-    let sizes: &[usize] = if opts.quick {
-        &[10_000]
-    } else {
-        &[10_000, 100_000]
-    };
+    // Both sizes in quick mode too: only the 100k builds exhaust the entry
+    // budget and take the Hybrid quadtree's midpoint fallback, which the
+    // clustered guard below checks.
+    let sizes: &[usize] = &[10_000, 100_000];
     let reps = if opts.quick { 2 } else { 5 };
     let host_threads = std::thread::available_parallelism().map_or(1, |p| p.get());
 
@@ -1336,7 +1335,7 @@ fn build_sweep(opts: &Options) -> Vec<(String, (String, ResultTable))> {
         "nodes",
         "speedup_vs_pre_arena",
     ]);
-    let mut json = String::from("{\n  \"pr\": 8,\n");
+    let mut json = String::from("{\n  \"pr\": 14,\n");
     json.push_str(&format!("  \"quick\": {},\n", opts.quick));
     json.push_str(&format!("  \"host_threads\": {host_threads},\n"));
     json.push_str("  \"build\": [\n");
@@ -1427,14 +1426,18 @@ fn build_sweep(opts: &Options) -> Vec<(String, (String, ResultTable))> {
                 // entries into every child, exhaust `max_entries` early, and
                 // leave the adaptive arena shallower (fewer nodes) and
                 // measurably slower to probe than the legacy midpoint rule.
-                // The per-build midpoint fallback makes that impossible —
-                // an adaptive quadtree can never end up more budget-starved
-                // than the legacy one — so the node count must hold up, and
-                // probe latency must stay within generous timing noise of
-                // legacy (the pre-fix regression was ~10%; container timing
-                // jitter is of the same order, hence the structural check
-                // carries the guarantee and the timing check only catches
-                // gross regressions).
+                // The per-build midpoint fallback makes that impossible: a
+                // Hybrid build projected past the entry budget from its root
+                // split is built with the midpoint rule outright, and one
+                // that overruns unexpectedly is compared against the
+                // midpoint tree unless it already has the most nodes a
+                // midpoint tree can reach.  So an adaptive quadtree can never
+                // end up more budget-starved than the legacy one; the node
+                // count must hold up, and probe latency must stay within
+                // generous timing noise of legacy (the pre-fix regression was
+                // ~10%; container timing jitter is of the same order, hence
+                // the structural check carries the guarantee and the timing
+                // check only catches gross regressions).
                 if kind == IntersectionIndexKind::Quadtree {
                     assert!(
                         adaptive.nodes >= legacy.nodes,
@@ -1619,7 +1622,7 @@ fn shard_sweep(opts: &Options) -> (String, ResultTable) {
     ref_handle.shutdown();
 
     let mut t = ResultTable::new(&["shards", "query_probe_s", "count_probe_s"]);
-    let mut json = String::from("{\n  \"pr\": 8,\n");
+    let mut json = String::from("{\n  \"pr\": 14,\n");
     json.push_str(&format!("  \"quick\": {},\n", opts.quick));
     json.push_str(&format!(
         "  \"dataset\": {{\"family\": \"INDE\", \"n\": {n}, \"d\": 3, \"probes\": {num_probes}, \

@@ -45,7 +45,9 @@ use crate::approx::EPS;
 use crate::cutting::{CutRule, CuttingTreeConfig};
 use crate::hyperplane::{Hyperplane, HyperplaneSlab};
 use crate::point::{BoundingBox, Point};
-use crate::quadtree::{QuadtreeConfig, SplitRule};
+use crate::quadtree::{
+    hybrid_projects_entry_overrun, midpoint_node_ceiling, QuadtreeConfig, SplitRule,
+};
 use crate::traverse::{classify_cell, CellRelation, TraversalScratch};
 
 /// How an overfull cell is split — the one thing that tells QUAD and
@@ -186,34 +188,59 @@ impl ArenaTree {
     /// looks locally fine — it makes progress — but the duplication
     /// compounds level over level and exhausts `max_entries` well before
     /// the midpoint rule would, leaving a shallower, slower arena.  No
-    /// per-node heuristic can see this (the damage is global), so the
-    /// builder checks the *finished* tree instead: if a Hybrid quadtree ran
-    /// out of entry budget, the midpoint tree is built too and the arena
-    /// with more nodes — the one whose budget went into pruning rather
-    /// than duplication — wins (ties keep the census tree).  The fallback
-    /// arena still advertises `SplitRule::Hybrid`, since this check is part
-    /// of the rule: rebuilding from the carried policy reproduces it
-    /// byte-for-byte.  Builds that stay within budget never pay for it.
+    /// per-node heuristic can see this (the damage is global), so the rule
+    /// is picked once per build, before building:
+    ///
+    /// * **Projection.**  The root is planned under Hybrid and the census
+    ///   tree's entry total extrapolated from it
+    ///   (`quadtree::hybrid_projects_entry_overrun`).  When the
+    ///   projection reaches `max_entries`, the midpoint tree is built
+    ///   directly.
+    /// * **Backstop.**  Otherwise the census tree is built; if it did run
+    ///   out of entry budget anyway, the midpoint tree is built too and the
+    ///   arena with more nodes — the one whose budget went into pruning
+    ///   rather than duplication — wins (ties keep the census tree).  The
+    ///   second build is skipped when the census tree already has as many
+    ///   nodes as a midpoint tree can reach
+    ///   (`quadtree::midpoint_node_ceiling`), since the midpoint
+    ///   tree could then at best tie.
+    ///
+    /// So a Hybrid quadtree that runs out of entry budget never has fewer
+    /// nodes than the midpoint tree over the same input, and a build pays
+    /// for a second arena only when the projection guessed wrong.  The
+    /// midpoint arena still advertises `SplitRule::Hybrid`, since the choice
+    /// is part of the rule: rebuilding from the carried policy reproduces it
+    /// byte-for-byte.
     pub fn build_from_slab_with(
         slab: HyperplaneSlab,
         cell: BoundingBox,
         policy: SplitPolicy,
         pool: Option<&ThreadPool>,
     ) -> Self {
-        let tree = Self::build_arena(slab, cell.clone(), policy, pool);
-        if let SplitPolicy::Quad(config) = policy {
-            if config.split == SplitRule::Hybrid && tree.entries.len() >= config.max_entries {
-                let midpoint = SplitPolicy::Quad(QuadtreeConfig {
-                    split: SplitRule::Midpoint,
-                    ..config
-                });
-                let mut fallback = Self::build_arena(tree.slab.clone(), cell, midpoint, pool);
-                if fallback.nodes.len() > tree.nodes.len() {
-                    fallback.policy = policy;
-                    return fallback;
-                }
+        let config = match policy {
+            SplitPolicy::Quad(config) if config.split == SplitRule::Hybrid => config,
+            _ => return Self::build_arena(slab, cell, policy, pool),
+        };
+        let midpoint = SplitPolicy::Quad(QuadtreeConfig {
+            split: SplitRule::Midpoint,
+            ..config
+        });
+        let mut tree = if hybrid_projects_entry_overrun(&slab, &cell, &config) {
+            Self::build_arena(slab, cell, midpoint, pool)
+        } else {
+            let census = Self::build_arena(slab, cell.clone(), policy, pool);
+            if census.entries.len() < config.max_entries
+                || census.nodes.len() >= midpoint_node_ceiling(&cell, &config)
+            {
+                return census;
             }
-        }
+            let fallback = Self::build_arena(census.slab.clone(), cell, midpoint, pool);
+            if fallback.nodes.len() <= census.nodes.len() {
+                return census;
+            }
+            fallback
+        };
+        tree.policy = policy;
         tree
     }
 
@@ -225,6 +252,8 @@ impl ArenaTree {
         policy: SplitPolicy,
         pool: Option<&ThreadPool>,
     ) -> Self {
+        #[cfg(test)]
+        tests::ARENA_BUILDS.with(|builds| builds.set(builds.get() + 1));
         let (max_capacity, max_depth, max_nodes, max_entries) = policy.budgets();
         // Upper bound on the children one split allocates (a quadrant split
         // on every axis, or a cut's pair); sizes the planning chunks below.
@@ -822,8 +851,8 @@ const PARALLEL_BUILD_MIN_ENTRIES: usize = 4096;
 /// A planned subdivision of one overfull node: the child cells and, for each
 /// child, the subset of the parent's entries crossing it.
 pub(crate) struct SplitPlan {
-    cells: Vec<BoundingBox>,
-    child_entries: Vec<Vec<u32>>,
+    pub(crate) cells: Vec<BoundingBox>,
+    pub(crate) child_entries: Vec<Vec<u32>>,
 }
 
 /// Partitions `entries` over the candidate child `cells`, or `None` when
@@ -920,6 +949,20 @@ pub(crate) fn median_inplace(xs: &mut [f64]) -> f64 {
 mod tests {
     use super::*;
     use rand::{Rng, SeedableRng};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Calls of [`ArenaTree::build_arena`] on this thread (a build runs
+        /// on its calling thread; the pool only plans splits).
+        pub(super) static ARENA_BUILDS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// The number of full arena builds `f` runs.
+    fn arena_builds<T>(f: impl FnOnce() -> T) -> (usize, T) {
+        let before = ARENA_BUILDS.with(Cell::get);
+        let out = f();
+        (ARENA_BUILDS.with(Cell::get) - before, out)
+    }
 
     /// A 2-D line `a·x + b·y + c = 0` as a hyperplane.
     fn line(a: f64, b: f64, c: f64) -> Hyperplane {
@@ -1498,5 +1541,184 @@ mod tests {
         assert_eq!(encode(&a), encode(&b));
         let q = BoundingBox::new(vec![0.1, 0.1], vec![0.3, 0.3]);
         assert_eq!(a.query(&hs, &q), b.query(&hs, &q));
+    }
+
+    /// `n` random rows in `k` dimensions, drawn as the `arena_digests`
+    /// suite draws them.
+    fn random_rows(seed: u64, n: usize, k: usize) -> Vec<Hyperplane> {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        (0..n)
+            .map(|_| {
+                Hyperplane::new(
+                    (0..k).map(|_| rng.gen_range(-1.0..1.0)).collect(),
+                    rng.gen_range(-0.5..0.5),
+                )
+            })
+            .collect()
+    }
+
+    /// Builds `config` over `hs` in the root `[-1, 1]^k`, serially and on a
+    /// 4-thread pool; asserts both encode alike and returns the number of
+    /// full arena builds the serial one ran, with its tree.
+    fn counted_build(hs: &[Hyperplane], config: QuadtreeConfig) -> (usize, ArenaTree) {
+        let k = hs[0].dim();
+        let root = BoundingBox::new(vec![-1.0; k], vec![1.0; k]);
+        let build = |pool: Option<&ThreadPool>| {
+            let slab = HyperplaneSlab::from_hyperplanes(hs);
+            ArenaTree::build_from_slab_with(slab, root.clone(), SplitPolicy::Quad(config), pool)
+        };
+        let (builds, tree) = arena_builds(|| build(None));
+        let pool = ThreadPool::with_threads(4);
+        let (pooled_builds, pooled) = arena_builds(|| build(Some(&pool)));
+        assert!(encode(&tree) == encode(&pooled), "pooled build differs");
+        assert_eq!(builds, pooled_builds);
+        (builds, tree)
+    }
+
+    /// The midpoint arena of `config`, relabelled with `config`'s rule.
+    fn midpoint_twin(hs: &[Hyperplane], config: QuadtreeConfig) -> (ArenaTree, ArenaTree) {
+        let k = hs[0].dim();
+        let root = BoundingBox::new(vec![-1.0; k], vec![1.0; k]);
+        let midpoint = QuadtreeConfig {
+            split: SplitRule::Midpoint,
+            ..config
+        };
+        let tree = ArenaTree::build(hs, root.clone(), SplitPolicy::Quad(midpoint));
+        let mut relabelled = tree.clone();
+        relabelled.policy = SplitPolicy::Quad(config);
+        (tree, relabelled)
+    }
+
+    #[test]
+    fn projected_overrun_builds_only_the_midpoint_arena() {
+        // 150 random planes in 3-D under a 20,000-entry budget: the root
+        // plan projects the census tree past the budget at level 3, so the
+        // midpoint tree is the one and only build.
+        let hs = random_rows(15, 150, 3);
+        let config = QuadtreeConfig {
+            max_capacity: 4,
+            max_entries: 20_000,
+            ..QuadtreeConfig::default()
+        };
+        let (builds, tree) = counted_build(&hs, config);
+        assert_eq!(builds, 1);
+        let (midpoint, relabelled) = midpoint_twin(&hs, config);
+        assert!(
+            encode(&tree) == encode(&relabelled),
+            "midpoint arena expected"
+        );
+        assert!(midpoint.entry_count() >= config.max_entries);
+    }
+
+    #[test]
+    fn census_at_the_node_ceiling_skips_the_backstop() {
+        // Both budgets bind: the census tree overruns 5,000 entries and
+        // stops at 201 nodes, the most a midpoint tree can reach under a
+        // 200-node budget in 3-D (1 + 25·8), so no midpoint build can win
+        // and none is run.
+        let hs = random_rows(15, 150, 3);
+        let config = QuadtreeConfig {
+            max_capacity: 4,
+            max_nodes: 200,
+            max_entries: 5_000,
+            ..QuadtreeConfig::default()
+        };
+        let (builds, tree) = counted_build(&hs, config);
+        assert_eq!(builds, 1);
+        assert!(tree.entry_count() >= config.max_entries);
+        assert_eq!(tree.node_count(), 201);
+        let (midpoint, relabelled) = midpoint_twin(&hs, config);
+        assert!(
+            encode(&tree) != encode(&relabelled),
+            "census arena expected"
+        );
+        assert!(midpoint.node_count() <= tree.node_count());
+    }
+
+    #[test]
+    fn backstop_compares_when_the_root_split_alone_exhausts_the_budget() {
+        // A vertical bundle: the census cuts the root once along x (3
+        // nodes, 64 + 65 entries), the midpoint rule into quadrants (5
+        // nodes, 64 + 128 entries).  A 90-entry budget ends both trees
+        // right there, which the projection leaves to the backstop: it
+        // builds both and keeps the midpoint tree's extra nodes.
+        let hs: Vec<Hyperplane> = (0..64)
+            .map(|i| line(1.0, 0.0, -0.3 - 1e-4 * i as f64))
+            .collect();
+        let config = QuadtreeConfig {
+            max_capacity: 2,
+            max_entries: 90,
+            ..QuadtreeConfig::default()
+        };
+        let (builds, tree) = counted_build(&hs, config);
+        assert_eq!(builds, 2);
+        let (_, relabelled) = midpoint_twin(&hs, config);
+        assert!(
+            encode(&tree) == encode(&relabelled),
+            "midpoint arena expected"
+        );
+        assert_eq!(tree.node_count(), 5);
+    }
+
+    #[test]
+    fn builds_within_budget_and_other_rules_build_once() {
+        let hs = random_rows(16, 300, 2);
+        for policy in policies(4, 0) {
+            let (builds, tree) = arena_builds(|| ArenaTree::build(&hs, square(), policy));
+            assert_eq!(builds, 1, "{policy:?}");
+            assert!(tree.entry_count() < QuadtreeConfig::default().max_entries);
+        }
+    }
+
+    #[test]
+    fn midpoint_trees_stay_under_the_node_ceiling() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(2024);
+        let flat = BoundingBox::new(vec![-1.0, 0.25, -1.0], vec![1.0, 0.25, 1.0]);
+        for (k, root) in [
+            (2, square()),
+            (3, BoundingBox::new(vec![-1.0; 3], vec![1.0; 3])),
+            (3, flat.clone()),
+        ] {
+            let hs = random_rows(rng.gen(), 200, k);
+            for _ in 0..12 {
+                let config = QuadtreeConfig {
+                    max_capacity: rng.gen_range(1..6),
+                    max_nodes: rng.gen_range(1..400),
+                    split: SplitRule::Midpoint,
+                    ..QuadtreeConfig::default()
+                };
+                let tree = ArenaTree::build(&hs, root.clone(), SplitPolicy::Quad(config));
+                let ceiling = midpoint_node_ceiling(&root, &config);
+                assert!(
+                    tree.node_count() <= ceiling,
+                    "{config:?}: {} > {ceiling}",
+                    tree.node_count()
+                );
+            }
+        }
+        // The first `1 + j·2^k` at or above the budget, for the axes the
+        // root spans; the looser `max_nodes − 1 + 2^k` once the deepest
+        // cells could round flat.
+        let cube = |k| BoundingBox::new(vec![0.0; k], vec![16.0; k]);
+        let ceiling = |root: &BoundingBox, max_nodes, max_depth| {
+            midpoint_node_ceiling(
+                root,
+                &QuadtreeConfig {
+                    max_nodes,
+                    max_depth,
+                    ..QuadtreeConfig::default()
+                },
+            )
+        };
+        assert_eq!(ceiling(&cube(2), 1 << 15, 16), 32_769);
+        assert_eq!(ceiling(&cube(3), 1 << 15, 16), 32_769);
+        assert_eq!(ceiling(&cube(3), 200, 16), 201);
+        assert_eq!(ceiling(&cube(2), 40, 16), 41);
+        assert_eq!(ceiling(&cube(3), 40, 16), 41);
+        assert_eq!(ceiling(&cube(3), 42, 16), 49);
+        assert_eq!(ceiling(&cube(3), 1, 16), 1);
+        assert_eq!(ceiling(&cube(3), 0, 16), 1);
+        assert_eq!(ceiling(&flat, 42, 16), 45);
+        assert_eq!(ceiling(&cube(2), 42, 200), 45);
     }
 }

@@ -36,6 +36,15 @@ pub enum SplitRule {
     /// (falling back to the midpoint on axes without crossings), so
     /// quadrant-style splits still land where the hyperplanes actually are.
     /// Deterministic — no randomness is consumed.
+    ///
+    /// Per build, the rule first projects the census tree's entry total from
+    /// its root split (`hybrid_projects_entry_overrun`); when the
+    /// projection exhausts `max_entries` — duplication compounding around a
+    /// shared point — the whole tree is built with the midpoint partition
+    /// instead, and a census tree that overruns anyway is checked against
+    /// the midpoint tree (see
+    /// [`crate::arena::ArenaTree::build_from_slab_with`]).  The arena still
+    /// carries this tag, so rebuilding from it reproduces the same bytes.
     Hybrid,
 }
 
@@ -79,9 +88,11 @@ pub struct QuadtreeConfig {
     /// Global budget on the shared entry slab (the arena's dominant memory
     /// cost: every node stores the ids of the hyperplanes crossing its
     /// cell).  Subdivision stops once the slab reaches the budget; thanks to
-    /// the breadth-first construction the cap degrades pruning uniformly
-    /// (the slab may overshoot by the entries of cells already queued for
-    /// subdivision, a small constant factor).
+    /// the breadth-first construction the cap degrades pruning uniformly.
+    /// The budget bounds the slab only loosely: the children of every split
+    /// made before it ran out are still recorded, so the slab can end up
+    /// several times the budget (about 4x for a 263-point, 4-dimensional
+    /// skyline index at the default 2^22 entries).
     pub max_entries: usize,
     /// How overfull cells are partitioned; see [`SplitRule`].
     pub split: SplitRule,
@@ -110,8 +121,9 @@ impl Default for QuadtreeConfig {
 /// *poor* progress (medians merely *near* a shared point, each child
 /// keeping most of the parent) are not second-guessed here: no per-node
 /// greedy rule can see that such cuts starve the whole build of entry
-/// budget, so that pathology is handled a level up by the per-build
-/// midpoint fallback in [`crate::arena::ArenaTree::build_from_slab_with`].
+/// budget, so that pathology is handled once per build, before it starts,
+/// by [`hybrid_projects_entry_overrun`] (see
+/// [`crate::arena::ArenaTree::build_from_slab_with`]).
 pub(crate) fn plan_split(
     slab: &HyperplaneSlab,
     cell: &BoundingBox,
@@ -185,6 +197,103 @@ fn hybrid_subdivide(
         cells = split;
     }
     cells
+}
+
+/// Whether a [`SplitRule::Hybrid`] build over `cell` is projected to
+/// exhaust `config.max_entries`: the up-front half of the rule's per-build
+/// midpoint fallback (see [`crate::arena::ArenaTree::build_from_slab_with`]).
+///
+/// Plans the root split once and extrapolates level by level.  With `R`
+/// entries crossing the root and the root's children holding `g·R`, level 1
+/// adds the root's children and `g·R` entries; every later level multiplies
+/// the nodes by `2^k` (`k` the axes the root spans) and the entries by
+/// `min(g, 2^(k−1))` — a hyperplane crosses about half of a small cell's
+/// quadrants.  The projection stops, short of the budget, at `max_depth`,
+/// when the next level would pass `max_nodes`, or once the level averages
+/// at most `max_capacity` entries per node.  Costs one root plan, a few
+/// milliseconds against a full build's hundreds.
+pub(crate) fn hybrid_projects_entry_overrun(
+    slab: &HyperplaneSlab,
+    cell: &BoundingBox,
+    config: &QuadtreeConfig,
+) -> bool {
+    let mut root = Vec::new();
+    slab.filter_all_intersecting_into(cell.lo(), cell.hi(), &mut root);
+    let budget = config.max_entries as f64;
+    let mut total = root.len() as f64;
+    if total >= budget {
+        return true;
+    }
+    if root.len() <= config.max_capacity || config.max_depth == 0 || config.max_nodes <= 1 {
+        return false;
+    }
+    let Some(plan) = plan_split(slab, cell, &root, SplitRule::Hybrid) else {
+        return false;
+    };
+    let quadrants = 2f64.powi(spanned_axes(cell) as i32);
+    let child_entries: usize = plan.child_entries.iter().map(Vec::len).sum();
+    let growth = (child_entries as f64 / total).min(quadrants / 2.0);
+    let (mut nodes, mut level_nodes, mut level_entries) =
+        (1.0, plan.cells.len() as f64, child_entries as f64);
+    let mut depth = 1;
+    loop {
+        if nodes + level_nodes > config.max_nodes as f64 {
+            return false;
+        }
+        nodes += level_nodes;
+        total += level_entries;
+        if total >= budget {
+            // When the root's own children exhaust the budget, both trees
+            // end after a single split: the census build is cheap and the
+            // backstop compares the two exactly.
+            return depth > 1;
+        }
+        if depth >= config.max_depth || level_entries <= config.max_capacity as f64 * level_nodes {
+            return false;
+        }
+        level_nodes *= quadrants;
+        level_entries *= growth;
+        depth += 1;
+    }
+}
+
+/// The most nodes a [`SplitRule::Midpoint`] build over `cell` can end with:
+/// the backstop half of the Hybrid rule's fallback skips the midpoint build
+/// when the census tree already has this many.
+///
+/// A split happens only while the arena holds fewer than `max_nodes` nodes,
+/// and a midpoint split halves every axis the cell spans, adding exactly
+/// `q = 2^k` children — so the node count stays of the form `1 + j·q` and
+/// ends at most at the first such value `≥ max_nodes`.  That holds while
+/// the cells at `max_depth` stay wide against the rounding of their
+/// midpoints; when they may not, halving could leave a child flat on an
+/// axis (fewer children per split) and the looser `max_nodes − 1 + q` is
+/// returned.
+pub(crate) fn midpoint_node_ceiling(cell: &BoundingBox, config: &QuadtreeConfig) -> usize {
+    let q = 1usize
+        .checked_shl(spanned_axes(cell) as u32)
+        .unwrap_or(usize::MAX);
+    let below = config.max_nodes.max(1) - 1;
+    let depth = config.max_depth.min(4096) as i32;
+    // Each level's midpoints round by at most half an ulp of the largest
+    // coordinate, so a cell at `max_depth` is at most `max_depth` ulps
+    // narrower than exact halving gives; wider than a few more ulps, its
+    // midpoint falls strictly inside it.
+    let halves_cleanly = (0..cell.dim()).filter(|&a| cell.extent(a) > 0.0).all(|a| {
+        let magnitude = cell.lo()[a].abs().max(cell.hi()[a].abs());
+        cell.extent(a) * 0.5f64.powi(depth) > 4.0 * (depth as f64 + 2.0) * f64::EPSILON * magnitude
+    });
+    if halves_cleanly {
+        below.div_ceil(q).saturating_mul(q).saturating_add(1)
+    } else {
+        below.saturating_add(q)
+    }
+}
+
+/// The number of axes along which `cell` has positive extent — the axes a
+/// midpoint split halves.
+fn spanned_axes(cell: &BoundingBox) -> usize {
+    (0..cell.dim()).filter(|&a| cell.extent(a) > 0.0).count()
 }
 
 /// Splits a cell into its `2^k` children by halving every axis.  Axes with

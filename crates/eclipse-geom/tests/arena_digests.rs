@@ -2,11 +2,12 @@
 //!
 //! The golden `.eclsnap` fixtures hold a few dozen hyperplanes, so they never
 //! exhaust a node or entry budget, never cross the pooled-planning threshold,
-//! never take the Hybrid quadtree's per-build midpoint fallback and never hit
-//! the sampled cutting rule's jittered-midpoint fallback.  This suite builds a
-//! small matrix that does, and pins each arena's `encode_into` length and
-//! FNV-1a digest.  Any change to construction or to the node codec shows up
-//! here as a changed constant.
+//! never take either path of the Hybrid quadtree's per-build midpoint
+//! fallback (the up-front projection and the backstop comparison) and never
+//! hit the sampled cutting rule's jittered-midpoint fallback.  This suite
+//! builds a small matrix that does, and pins each arena's `encode_into`
+//! length and FNV-1a digest.  Any change to construction or to the node
+//! codec shows up here as a changed constant.
 
 use eclipse_exec::ThreadPool;
 use eclipse_geom::arena::{ArenaTree, SplitPolicy};
@@ -199,16 +200,89 @@ fn hybrid_takes_the_midpoint_fallback_under_a_small_entry_budget() {
             ..QuadtreeConfig::default()
         })
     };
-    let serial = ThreadPool::with_threads(1);
-    let hybrid = encode(budget(SplitRule::Hybrid), &hs, &root, &serial);
-    let mut midpoint = encode(budget(SplitRule::Midpoint), &hs, &root, &serial);
-    // The fallback arena is the midpoint arena advertising the Hybrid rule:
-    // the two encodings differ only in the split-rule tag, the byte after
-    // the four numeric config fields.
-    assert_eq!(midpoint[32], SplitRule::Midpoint.tag());
-    midpoint[32] = SplitRule::Hybrid.tag();
-    assert_eq!(hybrid, midpoint, "Hybrid build did not take the fallback");
+    let hybrid = encode(
+        budget(SplitRule::Hybrid),
+        &hs,
+        &root,
+        &ThreadPool::with_threads(1),
+    );
+    assert!(
+        hybrid == relabelled_midpoint(budget(SplitRule::Midpoint), &hs, &root),
+        "Hybrid build did not take the fallback"
+    );
     assert_eq!(pin(&hybrid), (26813, 10808576838804380049));
+}
+
+/// The bytes of the Midpoint arena of `midpoint` advertising the Hybrid
+/// rule, as the fallback arena does: the two encodings differ only in the
+/// split-rule tag, the byte after the four numeric config fields.
+fn relabelled_midpoint(midpoint: SplitPolicy, hs: &[Hyperplane], root: &BoundingBox) -> Vec<u8> {
+    let mut bytes = encode(midpoint, hs, root, &ThreadPool::with_threads(1));
+    assert_eq!(bytes[32], SplitRule::Midpoint.tag());
+    bytes[32] = SplitRule::Hybrid.tag();
+    bytes
+}
+
+/// A QUAD policy with `max_capacity` 4 and the given budgets.
+fn budgeted(split: SplitRule, max_nodes: usize, max_entries: usize) -> SplitPolicy {
+    SplitPolicy::Quad(QuadtreeConfig {
+        max_capacity: 4,
+        max_nodes,
+        max_entries,
+        split,
+        ..QuadtreeConfig::default()
+    })
+}
+
+#[test]
+fn hybrid_projected_past_the_entry_budget_builds_the_midpoint_arena() {
+    // 150 random planes in 3-D under a 20,000-entry budget: the root plan
+    // projects the census tree past the budget, so the midpoint arena is
+    // built directly (and is the only arena built).
+    let hs = random_rows(15, 150, 3);
+    let root = square(3);
+    let nodes = QuadtreeConfig::default().max_nodes;
+    for threads in [1, 4] {
+        let pool = ThreadPool::with_threads(threads);
+        let hybrid = encode(
+            budgeted(SplitRule::Hybrid, nodes, 20_000),
+            &hs,
+            &root,
+            &pool,
+        );
+        assert!(
+            hybrid == relabelled_midpoint(budgeted(SplitRule::Midpoint, nodes, 20_000), &hs, &root),
+            "{threads} threads: Hybrid build did not take the projected fallback"
+        );
+        assert_eq!(
+            pin(&hybrid),
+            (604601, 510098406017334204),
+            "{threads} threads"
+        );
+    }
+}
+
+#[test]
+fn hybrid_keeps_the_census_arena_at_the_midpoint_node_ceiling() {
+    // Both budgets bind: the census tree runs past 5,000 entries and stops
+    // at 201 nodes, the most a 3-D midpoint tree can reach under a 200-node
+    // budget (1 + 25·8).  The midpoint tree could at best tie, so the census
+    // arena stays.
+    let hs = random_rows(15, 150, 3);
+    let root = square(3);
+    for threads in [1, 4] {
+        let pool = ThreadPool::with_threads(threads);
+        let hybrid = encode(budgeted(SplitRule::Hybrid, 200, 5_000), &hs, &root, &pool);
+        assert!(
+            hybrid != relabelled_midpoint(budgeted(SplitRule::Midpoint, 200, 5_000), &hs, &root),
+            "{threads} threads: census arena expected"
+        );
+        assert_eq!(
+            pin(&hybrid),
+            (57517, 13797029868634542498),
+            "{threads} threads"
+        );
+    }
 }
 
 #[test]

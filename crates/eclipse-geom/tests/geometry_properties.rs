@@ -284,6 +284,63 @@ proptest! {
         }
     }
 
+    /// A Hybrid quadtree that runs out of entry budget never ends up with
+    /// fewer nodes than the Midpoint quadtree over the same rows: the
+    /// per-build midpoint fallback's guarantee that the adaptive rule is
+    /// never more budget-starved than the legacy one.  Random 2-D and 3-D
+    /// rows plus a pencil of planes through one shared point (the census
+    /// medians' worst case), tight node and entry budgets, built serially
+    /// and on a 4-thread pool.
+    #[test]
+    fn hybrid_never_ends_more_budget_starved_than_midpoint(
+        rows in proptest::collection::vec(
+            (proptest::collection::vec(-1.0f64..1.0, 3), -0.5f64..0.5),
+            10..120,
+        ),
+        pencil in proptest::collection::vec(proptest::collection::vec(-1.0f64..1.0, 3), 0..120),
+        centre in proptest::collection::vec(-0.6f64..0.6, 3),
+        k in 2usize..4,
+        cap in 1usize..5,
+        max_nodes in 5usize..300,
+        max_entries in 100usize..5000,
+    ) {
+        let mut hs: Vec<Hyperplane> = rows
+            .into_iter()
+            .map(|(c, o)| Hyperplane::new(c[..k].to_vec(), o))
+            .collect();
+        hs.extend(pencil.into_iter().map(|c| {
+            let offset: f64 = -c[..k].iter().zip(&centre).map(|(a, p)| a * p).sum::<f64>();
+            Hyperplane::new(c[..k].to_vec(), offset)
+        }));
+        let root = BoundingBox::new(vec![-1.0; k], vec![1.0; k]);
+        for threads in [1, 4] {
+            let pool = ThreadPool::with_threads(threads);
+            let build = |split| {
+                let config = QuadtreeConfig {
+                    max_capacity: cap,
+                    max_nodes,
+                    max_entries,
+                    split,
+                    ..QuadtreeConfig::default()
+                };
+                ArenaTree::build_from_slab_with(
+                    HyperplaneSlab::from_hyperplanes(&hs),
+                    root.clone(),
+                    SplitPolicy::Quad(config),
+                    Some(&pool),
+                )
+            };
+            let (hybrid, midpoint) = (build(SplitRule::Hybrid), build(SplitRule::Midpoint));
+            if hybrid.entry_count() >= max_entries {
+                prop_assert!(
+                    hybrid.node_count() >= midpoint.node_count(),
+                    "{} threads, budgets ({}, {}): Hybrid {} nodes < Midpoint {}",
+                    threads, max_nodes, max_entries, hybrid.node_count(), midpoint.node_count()
+                );
+            }
+        }
+    }
+
     /// LP solutions are feasible and no corner of a random box beats the optimum.
     #[test]
     fn lp_optimum_dominates_box_corners(
